@@ -31,6 +31,9 @@ lawTable()
         {"foldCache.replayFidelity",
          "fold-cache replay emits a byte-identical demand stream to "
          "live generation (checksum spot-check)"},
+        {"layout.replayFidelity",
+         "bank-conflict slowed and conflict cycles with the fold cache "
+         "and replay memo equal a live re-evaluation (spot-check)"},
         {"dram.bankConservation",
          "per-bank row outcomes sum to channel requests; channels sum "
          "to system totals; bytes == requests * burstBytes"},
@@ -341,6 +344,29 @@ InvariantAuditor::auditFoldReplayFidelity(
            "demand-stream checksum mismatch: live %016" PRIx64
            " vs replay %016" PRIx64 " (%" PRIu64 " addresses)",
            live.digest(), replayed.digest(), live.addresses());
+}
+
+void
+InvariantAuditor::auditLayoutReplayFidelity(
+    const systolic::DemandGenerator& generator,
+    const layout::BankConflictEvaluator& observed, std::string_view scope)
+{
+    if (replayCheckMax_ > 0 && generator.totalCycles() > replayCheckMax_)
+        return; // spot-check: skip oversized layers
+    const char* law = "layout.replayFidelity";
+    systolic::DemandGenerator live_gen = generator;
+    live_gen.setFoldCache(false);
+    layout::BankConflictEvaluator live(observed.config(),
+                                       observed.layouts());
+    live_gen.run(live);
+    verify(live.slowedCycles() == observed.slowedCycles(), law, scope,
+           "live evaluation gives %" PRIu64 " slowed cycles, the "
+           "evaluated run %" PRIu64,
+           live.slowedCycles(), observed.slowedCycles());
+    verify(live.conflictCycles() == observed.conflictCycles(), law, scope,
+           "live evaluation gives %" PRIu64 " conflict cycles, the "
+           "evaluated run %" PRIu64,
+           live.conflictCycles(), observed.conflictCycles());
 }
 
 void

@@ -26,6 +26,10 @@
  *                            the fold cache produces a byte-identical
  *                            stream to live generation (checksum
  *                            spot-check on bounded-size layers)
+ *   layout.replayFidelity    the bank-conflict evaluator's slowed and
+ *                            conflict cycles with the fold cache (and
+ *                            its replay memo) equal a live re-run's
+ *                            (bounded-size layers)
  *   dram.bankConservation    per-bank rowHits + rowMisses + conflicts
  *                            sum to the channel's requests; channel
  *                            stats sum to the system totals; bytes
@@ -66,6 +70,7 @@
 #include "common/types.hpp"
 #include "dram/system.hpp"
 #include "energy/action_counts.hpp"
+#include "layout/layout.hpp"
 #include "multicore/trace_sim.hpp"
 #include "obs/cpi.hpp"
 #include "obs/stats.hpp"
@@ -175,6 +180,17 @@ class InvariantAuditor
                                  std::uint32_t array_cols,
                                  const systolic::OperandMap& operands,
                                  std::string_view scope);
+
+    /**
+     * layout.replayFidelity: re-run `generator`'s layer with the fold
+     * cache off through a fresh evaluator of `observed`'s config and
+     * layouts, and compare its slowed and conflict cycles with
+     * `observed`'s. Same size cap as foldCache.replayFidelity.
+     */
+    void auditLayoutReplayFidelity(
+        const systolic::DemandGenerator& generator,
+        const layout::BankConflictEvaluator& observed,
+        std::string_view scope);
 
     /** dram.bankConservation + dram.refreshBound over one channel. */
     void auditDramChannel(const dram::DramStats& ch,

@@ -169,7 +169,18 @@ Simulator::runLayer(const LayerSpec& layer, std::uint64_t layer_index)
             const auto prof = profiler_.scope(SimPhase::DemandGen);
             generator.run(tee);
         }
-        foldCacheStats_.merge(generator.foldCacheStats());
+        systolic::FoldCacheStats cache_stats = generator.foldCacheStats();
+        if (layout_eval) {
+            cache_stats.layoutMemoized = layout_eval->foldsMemoized();
+            cache_stats.layoutWalked = layout_eval->foldsWalked();
+        }
+        foldCacheStats_.merge(cache_stats);
+        // Audits run outside every profiler phase so that --audit does
+        // not inflate the per-phase seconds.
+        if (auditor_ && layout_eval) {
+            auditor_->auditLayoutReplayFidelity(generator, *layout_eval,
+                                                result.name);
+        }
         if (auditor_ && action_visitor) {
             // Audit the raw per-layer counts before stall/SIMD cycles
             // and sparse-metadata reads are folded in below; the
@@ -205,7 +216,6 @@ Simulator::runLayer(const LayerSpec& layer, std::uint64_t layer_index)
                                        result.layoutSlowdown,
                                        result.name);
         if (cfg_.mode == SimMode::Trace && !sparse_model.active()) {
-            const auto prof = profiler_.scope(SimPhase::DemandGen);
             auditor_->auditFoldReplayFidelity(
                 result.denseGemm, cfg_.dataflow, cfg_.arrayRows,
                 cfg_.arrayCols, operands, result.name);
@@ -430,6 +440,12 @@ Simulator::registerStats(obs::StatsRegistry& reg) const
     reg.addScalar("sim.foldCache.bytesSaved",
                   "address bytes that skipped live generation",
                   static_cast<double>(foldCacheStats_.bytesSaved()));
+    reg.addScalar("sim.foldCache.layoutMemoized",
+                  "folds the layout sink took from its replay memo",
+                  static_cast<double>(foldCacheStats_.layoutMemoized));
+    reg.addScalar("sim.foldCache.layoutWalked",
+                  "folds the layout sink evaluated cycle by cycle",
+                  static_cast<double>(foldCacheStats_.layoutWalked));
     obs::FormulaSpec hit_rate;
     hit_rate.numerator = {{"sim.foldCache.replayed", 1.0}};
     hit_rate.denominator = {{"sim.foldCache.folds", 1.0}};

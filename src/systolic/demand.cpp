@@ -285,8 +285,11 @@ DemandGenerator::runCached(DemandVisitor& visitor) const
                 && replayKey(rf, cf, key)) {
                 if (FoldCacheEntry* entry = cache.find(key)) {
                     const bool accumulate = !os && rf > 0;
-                    entry->replay(visitor, fold_start,
-                                  replayDeltas(*entry, rf, cf),
+                    const ReplayDeltas deltas = replayDeltas(*entry, rf,
+                                                             cf);
+                    visitor.replayFold(key, entry->rf, entry->cf, deltas,
+                                       accumulate);
+                    entry->replay(visitor, fold_start, deltas,
                                   accumulate, scratch);
                     ++cacheStats_.foldsReplayed;
                     cacheStats_.addrsReplayed +=

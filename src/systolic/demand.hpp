@@ -49,6 +49,11 @@ struct FoldCacheStats
     Count foldsLive = 0;
     /** Addresses emitted from cache arenas instead of live math. */
     Count addrsReplayed = 0;
+    /** Folds a layout sink took from its replay memo (set by the
+     *  simulator; the generator leaves both layout counters 0). */
+    Count layoutMemoized = 0;
+    /** Folds a layout sink evaluated cycle by cycle. */
+    Count layoutWalked = 0;
 
     /** Address bytes that skipped live generation. */
     Count bytesSaved() const { return addrsReplayed * sizeof(Addr); }
@@ -60,11 +65,20 @@ struct FoldCacheStats
         foldsReplayed += other.foldsReplayed;
         foldsLive += other.foldsLive;
         addrsReplayed += other.addrsReplayed;
+        layoutMemoized += other.layoutMemoized;
+        layoutWalked += other.layoutWalked;
     }
 };
 
 struct FoldCacheEntry;
-struct ReplayDeltas;
+
+/** Per-stream constant address shifts of a replayed fold. */
+struct ReplayDeltas
+{
+    std::int64_t ifmap = 0;
+    std::int64_t filter = 0;
+    std::int64_t ofmap = 0;
+};
 
 /** Per-cycle demand observer. Spans are only valid during the call. */
 class DemandVisitor
@@ -75,6 +89,20 @@ class DemandVisitor
     virtual void beginLayer(const FoldGrid&, const OperandMap&) {}
     virtual void beginFold(std::uint64_t /*rf*/, std::uint64_t /*cf*/,
                            Cycle /*fold_start*/) {}
+
+    /**
+     * Called right after beginFold() when the fold cache replays the
+     * fold: its cycles are those of canonical fold (`canon_rf`,
+     * `canon_cf`) of equivalence class `key`, every stream shifted by
+     * `deltas`, with the writes doubling as ofmap reads iff
+     * `accumulate`. The cycles still follow; a sink whose per-fold
+     * result is a function of these arguments may skip them.
+     */
+    virtual void replayFold(std::uint64_t /*key*/,
+                            std::uint64_t /*canon_rf*/,
+                            std::uint64_t /*canon_cf*/,
+                            const ReplayDeltas& /*deltas*/,
+                            bool /*accumulate*/) {}
 
     /**
      * One array cycle. `clk` is absolute within the layer. The spans
@@ -172,6 +200,14 @@ class TeeVisitor : public DemandVisitor
     {
         for (auto* sink : sinks_)
             sink->beginFold(rf, cf, start);
+    }
+    void
+    replayFold(std::uint64_t key, std::uint64_t canon_rf,
+               std::uint64_t canon_cf, const ReplayDeltas& deltas,
+               bool accumulate) override
+    {
+        for (auto* sink : sinks_)
+            sink->replayFold(key, canon_rf, canon_cf, deltas, accumulate);
     }
     void
     cycle(Cycle clk, std::span<const Addr> ifmap_reads,

@@ -29,14 +29,6 @@
 namespace scalesim::systolic
 {
 
-/** Per-stream constant address shifts of a replayed fold. */
-struct ReplayDeltas
-{
-    std::int64_t ifmap = 0;
-    std::int64_t filter = 0;
-    std::int64_t ofmap = 0;
-};
-
 /** Reusable shift buffers so replays allocate nothing in steady state. */
 struct FoldReplayScratch
 {

@@ -16,6 +16,7 @@
 #include "common/workloads.hpp"
 #include "core/simulator.hpp"
 #include "energy/action_counts.hpp"
+#include "layout/layout.hpp"
 #include "systolic/demand.hpp"
 
 using namespace scalesim;
@@ -63,7 +64,7 @@ traceActionCounts(const GemmDims& gemm, Dataflow df,
 TEST(AuditReport, LawTableIsStableAndUnique)
 {
     const auto& laws = InvariantAuditor::laws();
-    EXPECT_EQ(laws.size(), 12u);
+    EXPECT_EQ(laws.size(), 13u);
     std::set<std::string> names;
     for (const auto& law : laws) {
         EXPECT_FALSE(law.description.empty()) << law.name;
@@ -72,6 +73,7 @@ TEST(AuditReport, LawTableIsStableAndUnique)
     EXPECT_EQ(names.size(), laws.size());
     EXPECT_TRUE(names.count("spad.stallAccounting"));
     EXPECT_TRUE(names.count("foldCache.replayFidelity"));
+    EXPECT_TRUE(names.count("layout.replayFidelity"));
     EXPECT_TRUE(names.count("run.totalsAccounting"));
     EXPECT_TRUE(names.count("cpi.conservation"));
 }
@@ -188,6 +190,75 @@ TEST(Auditor, FoldReplayFidelitySkipsOversizedLayers)
     auditor.auditFoldReplayFidelity(gemm, Dataflow::WeightStationary,
                                     8, 8, gemmOperands(gemm), "l0");
     EXPECT_EQ(auditor.report().checks(), 0u);
+}
+
+namespace
+{
+
+LayoutModelConfig
+onePortLayout()
+{
+    LayoutModelConfig cfg;
+    cfg.enabled = true;
+    cfg.portsPerBank = 1;
+    return cfg;
+}
+
+/** Layout evaluator of a fold-cached pass over a conv layer. */
+struct LayoutPass
+{
+    LayerSpec layer = LayerSpec::conv("c", 14, 14, 3, 3, 8, 12, 1);
+    systolic::OperandMap operands =
+        systolic::OperandMap::forLayer(layer, MemoryConfig{});
+    LayoutModelConfig cfg = onePortLayout();
+    systolic::DemandGenerator generator;
+    layout::BankConflictEvaluator eval;
+
+    explicit LayoutPass(Dataflow df)
+        : generator(layer.toGemm(), df, 8, 8, operands),
+          eval(cfg, layout::OperandLayouts::forOperands(
+                        operands, cfg, layout::LayoutScheme::RowMajor))
+    {
+        generator.run(eval);
+    }
+};
+
+} // namespace
+
+TEST(Auditor, LayoutReplayFidelityCleanAcrossDataflows)
+{
+    for (Dataflow df : {Dataflow::OutputStationary,
+                        Dataflow::WeightStationary,
+                        Dataflow::InputStationary}) {
+        const LayoutPass pass(df);
+        EXPECT_GT(pass.eval.foldsMemoized(), 0u) << toString(df);
+        InvariantAuditor auditor;
+        auditor.auditLayoutReplayFidelity(pass.generator, pass.eval,
+                                          "c");
+        EXPECT_TRUE(auditor.report().clean()) << toString(df);
+        EXPECT_EQ(auditor.report().checksForLaw("layout.replayFidelity"),
+                  2u);
+    }
+}
+
+TEST(Auditor, LayoutReplayFidelityFaultInjection)
+{
+    // One extra conflicting cycle stands in for a memo entry charged
+    // twice: four ifmap rows at the same column share a bank.
+    LayoutPass pass(Dataflow::WeightStationary);
+    std::vector<Addr> column;
+    for (std::uint64_t oh = 0; oh < 4; ++oh)
+        column.push_back(
+            pass.operands.ifmapAddr(oh * pass.operands.ofmapW, 0));
+    pass.eval.cycle(0, column, {}, {}, {});
+    InvariantAuditor faulty;
+    faulty.auditLayoutReplayFidelity(pass.generator, pass.eval, "c");
+    EXPECT_EQ(violationsOf(faulty.report(), "layout.replayFidelity"), 2u);
+
+    InvariantAuditor capped;
+    capped.setReplayCheckMaxCycles(1);
+    capped.auditLayoutReplayFidelity(pass.generator, pass.eval, "c");
+    EXPECT_EQ(capped.report().checks(), 0u);
 }
 
 TEST(Auditor, DramBankConservationFaultInjection)
@@ -471,6 +542,41 @@ TEST(AuditedRun, DramAndSparseRunIsClean)
            }();
     EXPECT_GT(run.audit.checksForLaw("dram.bankConservation"), 0u);
     EXPECT_GT(run.audit.checksForLaw("mem.trafficConservation"), 0u);
+}
+
+TEST(AuditedRun, LayoutRunChecksReplayFidelity)
+{
+    SimConfig cfg;
+    cfg.arrayRows = 16;
+    cfg.arrayCols = 16;
+    cfg.mode = SimMode::Trace;
+    cfg.audit = true;
+    cfg.layout.enabled = true;
+    cfg.layout.portsPerBank = 1;
+    Topology topo;
+    topo.name = "small";
+    topo.layers.push_back(LayerSpec::conv("conv", 30, 30, 3, 3, 8, 40, 1));
+    topo.layers.push_back(LayerSpec::gemm("fc", 64, 48, 80));
+    for (bool cached : {true, false}) {
+        cfg.foldCache = cached;
+        Simulator sim(cfg);
+        const RunResult run = sim.run(topo);
+        ASSERT_TRUE(run.audited);
+        EXPECT_TRUE(run.audit.clean())
+            << [&] {
+                   std::ostringstream out;
+                   run.audit.writeReport(out);
+                   return out.str();
+               }();
+        EXPECT_EQ(run.audit.checksForLaw("layout.replayFidelity"),
+                  2 * topo.layers.size());
+        const systolic::FoldCacheStats& s = sim.foldCacheStats();
+        EXPECT_EQ(s.layoutMemoized + s.layoutWalked, s.foldsTotal);
+        if (cached)
+            EXPECT_GT(s.layoutMemoized, 0u);
+        else
+            EXPECT_EQ(s.layoutMemoized, 0u);
+    }
 }
 
 TEST(AuditedRun, AnalyticalModeIsClean)

@@ -4,18 +4,24 @@
  * matrix of shapes (ragged GEMMs, im2col convolutions, batched conv,
  * sparse-WS gathering) and all three dataflows, a cached run must be
  * byte-identical to an uncached run through every consumer — SRAM trace
- * text (all four streams), CountingVisitor totals, and the trace-driven
- * energy action counts. Also pins that the replay path actually fires
- * on the shapes designed to hit it.
+ * text (all four streams), CountingVisitor totals, the trace-driven
+ * energy action counts, and the bank-conflict evaluator (whose replay
+ * memo skips replayed folds) under layouts that hit every shift-period
+ * rule. Also pins that the replay path actually fires on the shapes
+ * designed to hit it.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/types.hpp"
 #include "energy/action_counts.hpp"
+#include "layout/layout.hpp"
 #include "sparse/pattern.hpp"
 #include "systolic/demand.hpp"
 #include "systolic/trace_io.hpp"
@@ -25,6 +31,44 @@ using namespace scalesim::systolic;
 
 namespace
 {
+
+/** One bank-conflict evaluator configuration of the A/B matrix. */
+struct LayoutVariant
+{
+    std::uint32_t banks;
+    std::uint32_t bandwidth;
+    layout::LayoutScheme scheme;
+};
+
+/**
+ * Row-major variants pick the shift-period rule by the operand's row
+ * width W (layout::shiftPeriod()): 16/128 (8 words per bank) takes the
+ * bank-rotation rule whenever 8 | min(W, 128) | W; 16/100 (6 words per
+ * bank, 96 < 100) never can, so it takes the line-shift rule when
+ * 100 | W and the row-shift rule otherwise; 6/96 and 4/128 (16 and 32
+ * words per bank) mix all three over the shapes below. 10/99 (9 words
+ * per bank) has 99-word lines that 9 divides but that span 11 > 10
+ * banks, so it must not take the bank-rotation rule. Column-major and
+ * tiled lines span several rows and always take the row-shift rule.
+ */
+constexpr LayoutVariant kLayouts[] = {
+    {16, 128, layout::LayoutScheme::RowMajor},
+    {16, 100, layout::LayoutScheme::RowMajor},
+    {6, 96, layout::LayoutScheme::RowMajor},
+    {4, 128, layout::LayoutScheme::RowMajor},
+    {10, 99, layout::LayoutScheme::RowMajor},
+    {16, 128, layout::LayoutScheme::ColMajor},
+    {16, 128, layout::LayoutScheme::Tiled},
+};
+
+/** What one bank-conflict evaluator reported for a pass. */
+struct LayoutResult
+{
+    Cycle slowed = 0;
+    Count conflicts = 0;
+    Count memoized = 0;
+    Count walked = 0;
+};
 
 /** Everything one demand pass produces, captured for comparison. */
 struct PassResult
@@ -39,6 +83,7 @@ struct PassResult
     Count ofmapWrites = 0;
     Cycle lastCycle = 0;
     energy::ActionCounts actions;
+    std::vector<LayoutResult> layouts;
     FoldCacheStats cache;
 };
 
@@ -55,7 +100,21 @@ runPass(const GemmDims& gemm, Dataflow df, std::uint32_t rows,
     CountingVisitor counter;
     EnergyConfig ecfg;
     energy::ActionCountVisitor actions(ecfg);
-    TeeVisitor tee({&writer, &counter, &actions});
+    std::vector<DemandVisitor*> sinks = {&writer, &counter, &actions};
+    std::vector<layout::BankConflictEvaluator> evals;
+    evals.reserve(std::size(kLayouts));
+    for (const LayoutVariant& v : kLayouts) {
+        LayoutModelConfig lcfg;
+        lcfg.enabled = true;
+        lcfg.banks = v.banks;
+        lcfg.portsPerBank = 1;
+        lcfg.onChipBandwidth = v.bandwidth;
+        evals.emplace_back(lcfg, layout::OperandLayouts::forOperands(
+                                     operands, lcfg, v.scheme));
+    }
+    for (auto& eval : evals)
+        sinks.push_back(&eval);
+    TeeVisitor tee(std::move(sinks));
     gen.run(tee);
 
     PassResult r;
@@ -69,6 +128,10 @@ runPass(const GemmDims& gemm, Dataflow df, std::uint32_t rows,
     r.ofmapWrites = counter.ofmapWrites;
     r.lastCycle = counter.lastCycle;
     r.actions = actions.counts();
+    for (const auto& eval : evals) {
+        r.layouts.push_back({eval.slowedCycles(), eval.conflictCycles(),
+                             eval.foldsMemoized(), eval.foldsWalked()});
+    }
     r.cache = gen.foldCacheStats();
     return r;
 }
@@ -122,6 +185,17 @@ expectEquivalent(const PassResult& cached, const PassResult& live)
     // The uncached pass must never replay; both walk the same folds.
     EXPECT_EQ(live.cache.foldsReplayed, 0u);
     EXPECT_EQ(cached.cache.foldsTotal, live.cache.foldsTotal);
+    ASSERT_EQ(cached.layouts.size(), live.layouts.size());
+    for (std::size_t i = 0; i < cached.layouts.size(); ++i) {
+        const LayoutResult& c = cached.layouts[i];
+        const LayoutResult& l = live.layouts[i];
+        EXPECT_EQ(c.slowed, l.slowed) << "layout variant " << i;
+        EXPECT_EQ(c.conflicts, l.conflicts) << "layout variant " << i;
+        EXPECT_EQ(c.memoized + c.walked, cached.cache.foldsTotal);
+        EXPECT_LE(c.memoized, cached.cache.foldsReplayed);
+        EXPECT_EQ(l.memoized, 0u) << "an uncached pass never memoizes";
+        EXPECT_EQ(l.walked, live.cache.foldsTotal);
+    }
 }
 
 OperandMap
@@ -160,6 +234,28 @@ TEST_P(FoldCacheAb, FullFoldGemmReplays)
     EXPECT_GT(cached.cache.addrsReplayed, 0u);
     EXPECT_EQ(cached.cache.foldsTotal,
               cached.cache.foldsReplayed + cached.cache.foldsLive);
+    // Row-major 16/128 lines leave every shift residue 0 here.
+    EXPECT_GT(cached.layouts[0].memoized, 0u);
+}
+
+TEST_P(FoldCacheAb, WideGemmIsEquivalent)
+{
+    // Rows wider than a line, so the shift periods drop below the row
+    // width and column-fold shifts leave non-zero residues: N = 192
+    // takes the bank-rotation rule on 6/96, N = 198 the line-shift
+    // rule on 10/99, N = 200 the line-shift rule on 16/100, N = 256
+    // the bank-rotation rule on 16/128 and 4/128; every other pairing
+    // takes the row-shift rule.
+    for (const std::uint64_t n : {192u, 198u, 200u, 256u}) {
+        const GemmDims gemm{40, n, 24};
+        const OperandMap operands = makeOperands(gemm);
+        const auto cached = runPass(gemm, GetParam(), 8, 8, operands,
+                                    true);
+        const auto live = runPass(gemm, GetParam(), 8, 8, operands,
+                                  false);
+        SCOPED_TRACE(n);
+        expectEquivalent(cached, live);
+    }
 }
 
 TEST_P(FoldCacheAb, ConvImToColIsEquivalent)
@@ -227,6 +323,86 @@ TEST(FoldCacheSparse, GatheredWsIsEquivalent)
     expectEquivalent(cached, live);
     EXPECT_GT(cached.cache.foldsReplayed, 0u)
         << "column folds should replay within each sparse row fold";
+}
+
+TEST(FoldCacheSparse, GatheredWsWideIsEquivalent)
+{
+    // 1:4 sparsity over a wide filter: each row fold is its own class
+    // with ifmap delta 0, and its column folds shift the filter and
+    // ofmap by multiples of 8 words, which the 16/128 bank-rotation
+    // period (8) absorbs and the other variants split into residues.
+    const GemmDims dense{40, 256, 96};
+    const OperandMap operands = makeOperands(dense);
+    const auto pattern = sparse::SparsityPattern::layerWise(dense.k, 1, 4);
+    const auto cached = runPass(dense, Dataflow::WeightStationary, 8, 8,
+                                operands, true, &pattern);
+    const auto live = runPass(dense, Dataflow::WeightStationary, 8, 8,
+                              operands, false, &pattern);
+    expectEquivalent(cached, live);
+    EXPECT_GT(cached.layouts[0].memoized, 0u);
+}
+
+namespace
+{
+
+/** Records the canonical folds each replayed class was served from. */
+class ReplayRecorder : public DemandVisitor
+{
+  public:
+    void
+    replayFold(std::uint64_t key, std::uint64_t canon_rf,
+               std::uint64_t canon_cf, const ReplayDeltas&,
+               bool) override
+    {
+        canonicals[key].insert({canon_rf, canon_cf});
+    }
+    void cycle(Cycle, std::span<const Addr>, std::span<const Addr>,
+               std::span<const Addr>, std::span<const Addr>) override
+    {}
+
+    std::map<std::uint64_t,
+             std::set<std::pair<std::uint64_t, std::uint64_t>>>
+        canonicals;
+};
+
+} // namespace
+
+TEST(FoldCacheEviction, RecapturedConvClassIsEquivalent)
+{
+    // More conv m-classes than the 32-entry FoldReplayCache holds: a
+    // 39x39 input under a 3x3 filter has 37 output columns, cycled by
+    // the OS row folds; a 13x13x8 input has 33 (m, k) classes under IS.
+    // Classes get evicted and captured again at a later canonical
+    // fold, which is why the layout memo keys on the canonical fold.
+    const struct
+    {
+        Dataflow df;
+        LayerSpec layer;
+    } cases[] = {
+        {Dataflow::OutputStationary,
+         LayerSpec::conv("c", 39, 39, 3, 3, 2, 16, 1)},
+        {Dataflow::InputStationary,
+         LayerSpec::conv("c", 13, 13, 3, 3, 8, 8, 1)},
+    };
+    const MemoryConfig mem;
+    for (const auto& c : cases) {
+        SCOPED_TRACE(toString(c.df));
+        const OperandMap operands = OperandMap::forLayer(c.layer, mem);
+        const GemmDims gemm = c.layer.toGemm();
+        DemandGenerator gen(gemm, c.df, 8, 8, operands);
+        ReplayRecorder recorder;
+        gen.run(recorder);
+        std::size_t recaptured = 0;
+        for (const auto& [key, folds] : recorder.canonicals)
+            recaptured += folds.size() > 1 ? 1 : 0;
+        EXPECT_GT(recorder.canonicals.size(), 32u);
+        EXPECT_GT(recaptured, 0u) << "no class was captured twice";
+
+        const auto cached = runPass(gemm, c.df, 8, 8, operands, true);
+        const auto live = runPass(gemm, c.df, 8, 8, operands, false);
+        expectEquivalent(cached, live);
+        EXPECT_GT(cached.layouts[0].memoized, 0u);
+    }
 }
 
 TEST(FoldCacheStatsTest, DisabledRunsEverythingLive)

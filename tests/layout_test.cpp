@@ -1,12 +1,18 @@
 /**
  * @file
  * Unit tests for on-chip data layout modeling: the line/col/bank index
- * equations, layout constructors, and the bank-conflict evaluator's
- * slowdown properties (>= 1, fewer conflicts with more banks/ports,
- * layout sensitivity).
+ * equations, layout constructors, the shift-period rules, and the
+ * bank-conflict evaluator: its address decoding against the plain
+ * (r, c) equations, and its slowdown properties (>= 1, fewer
+ * conflicts with more banks/ports, layout sensitivity).
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <random>
+#include <set>
 
 #include "common/log.hpp"
 #include "layout/layout.hpp"
@@ -85,6 +91,99 @@ TEST(Layout2D, ClampsToOperandDims)
 {
     const auto rm = Layout2D::rowMajor(4, 8, 128);
     EXPECT_EQ(rm.colStep, 8u);
+}
+
+TEST(ShiftPeriod, Rules)
+{
+    // Rule 1: 8 | colStep 128 | W 256 and 128 <= 16 * 8 -> bpb.
+    EXPECT_EQ(shiftPeriod(Layout2D::rowMajor(4, 256, 128), 256, 8, 16),
+              8u);
+    // colStep 100 > 16 * 6 words, but 100 | 200: rule 2 -> colStep.
+    EXPECT_EQ(shiftPeriod(Layout2D::rowMajor(4, 200, 100), 200, 6, 16),
+              100u);
+    // 9 | colStep 99, but 99 words span 11 > 10 banks: rule 2.
+    EXPECT_EQ(shiftPeriod(Layout2D::rowMajor(4, 198, 99), 198, 9, 10),
+              99u);
+    // 32 does not divide colStep 48: rule 2.
+    EXPECT_EQ(shiftPeriod(Layout2D::rowMajor(4, 96, 48), 96, 32, 4),
+              48u);
+    // colStep 128 does not divide W 200: rule 3 -> W.
+    EXPECT_EQ(shiftPeriod(Layout2D::rowMajor(4, 200, 128), 200, 8, 16),
+              200u);
+    // Multi-row lines: rule 3 -> W * rowStep.
+    EXPECT_EQ(shiftPeriod(Layout2D::colMajor(64, 24, 16), 24, 8, 16),
+              24u * 16u);
+    const Layout2D tiled = Layout2D::tiled(64, 64, 16);
+    EXPECT_EQ(shiftPeriod(tiled, 64, 4, 4), 64u * tiled.rowStep);
+    // Layout columns that differ from the addressed row width: rule 3.
+    EXPECT_EQ(shiftPeriod(Layout2D::rowMajor(4, 64, 32), 128, 8, 4),
+              128u);
+}
+
+namespace
+{
+
+/** The evaluator's cost of one ifmap-only cycle, by the plain (r, c)
+ *  equations over (bank, line) pairs. */
+std::uint64_t
+referenceCost(const Layout2D& layout, const std::vector<Addr>& addrs,
+              Addr base, std::uint64_t row_width,
+              const LayoutModelConfig& cfg)
+{
+    const std::uint64_t bpb = std::max<std::uint64_t>(
+        1, cfg.onChipBandwidth / cfg.banks);
+    std::set<std::pair<std::uint64_t, std::uint64_t>> pairs;
+    for (Addr a : addrs) {
+        const std::uint64_t r = (a - base) / row_width;
+        const std::uint64_t c = (a - base) % row_width;
+        pairs.insert({layout.colId(r, c) / bpb % cfg.banks,
+                      layout.lineId(r, c)});
+    }
+    std::map<std::uint64_t, std::uint64_t> per_bank;
+    std::uint64_t worst = 0;
+    for (const auto& [bank, line] : pairs)
+        worst = std::max(worst, ++per_bank[bank]);
+    return std::max<std::uint64_t>(1, ceilDiv(worst, cfg.portsPerBank));
+}
+
+} // namespace
+
+TEST(Evaluator, DecodingMatchesIndexEquations)
+{
+    // Random ifmap cycles through every decoding path: power-of-two
+    // and other divisors, lines that divide the row and lines that do
+    // not, single-row and multi-row line tiles.
+    const GemmDims gemm{37, 16, 200};
+    const OperandMap operands = makeOperands(gemm);
+    const systolic::FoldGrid grid(gemm, Dataflow::OutputStationary, 8,
+                                  8);
+    std::mt19937_64 rng(7);
+    for (const auto& [banks, bandwidth] :
+         {std::pair{16u, 128u}, {16u, 100u}, {6u, 96u}, {4u, 128u},
+          {3u, 50u}, {8u, 200u}}) {
+        for (const LayoutScheme scheme :
+             {LayoutScheme::RowMajor, LayoutScheme::ColMajor,
+              LayoutScheme::Tiled}) {
+            const LayoutModelConfig cfg = layoutCfg(banks, 1, bandwidth);
+            const OperandLayouts layouts =
+                OperandLayouts::forGemm(gemm, cfg, scheme);
+            BankConflictEvaluator eval(cfg, layouts);
+            eval.beginLayer(grid, operands);
+            Cycle expected = 0;
+            for (int c = 0; c < 200; ++c) {
+                std::vector<Addr> addrs(1 + rng() % 40);
+                for (Addr& a : addrs)
+                    a = operands.ifmapBase + rng() % (gemm.m * gemm.k);
+                eval.cycle(c, addrs, {}, {}, {});
+                expected += referenceCost(layouts.ifmap, addrs,
+                                          operands.ifmapBase, gemm.k,
+                                          cfg);
+            }
+            EXPECT_EQ(eval.slowedCycles(), expected)
+                << banks << "/" << bandwidth << " scheme "
+                << static_cast<int>(scheme);
+        }
+    }
 }
 
 TEST(Evaluator, SlowdownAtLeastOne)
