@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <map>
 #include <set>
 
@@ -159,6 +160,32 @@ struct OsFoldShape
     std::uint32_t cols;
 };
 
+/**
+ * Case labels at fixed offsets in one 256-byte-aligned block.
+ * GoogleTest lists each case with the raw bytes of its parameter, and
+ * those begin with the low byte of the label pointer. Pinning the
+ * labels here keeps every case's listed name independent of how the
+ * linker places other string literals; the offsets reproduce the names
+ * these cases have always been listed under (m_is_one at 0x80,
+ * n_is_one at 0x90).
+ */
+struct alignas(256) OsFoldLabels
+{
+    char raggedLastFold[32] = "ragged_last_fold"; // 0x00
+    char trLtRows[16] = "tr_lt_rows";             // 0x20
+    char tcLtCols[16] = "tc_lt_cols";             // 0x30
+    char kLtRows[16] = "k_lt_rows";               // 0x40
+    char allPartial[16] = "all_partial";          // 0x50
+    char exactTiles[16] = "exact_tiles";          // 0x60
+    char unused[16] = "";                         // 0x70
+    char mIsOne[16] = "m_is_one";                 // 0x80
+    char nIsOne[16] = "n_is_one";                 // 0x90
+};
+static_assert(offsetof(OsFoldLabels, mIsOne) == 0x80);
+static_assert(offsetof(OsFoldLabels, nIsOne) == 0x90);
+
+constexpr OsFoldLabels kOsFoldLabels{};
+
 class DemandOsPartialFold
     : public ::testing::TestWithParam<OsFoldShape>
 {
@@ -195,20 +222,20 @@ INSTANTIATE_TEST_SUITE_P(
     PartialFolds, DemandOsPartialFold,
     ::testing::Values(
         // Ragged last fold on both axes: 10 = 8 + 2, 12 = 8 + 4.
-        OsFoldShape{"ragged_last_fold", {10, 12, 16}, 8, 8},
+        OsFoldShape{kOsFoldLabels.raggedLastFold, {10, 12, 16}, 8, 8},
         // Whole layer narrower than the array: tr = 3 < R = 8.
-        OsFoldShape{"tr_lt_rows", {3, 16, 16}, 8, 8},
+        OsFoldShape{kOsFoldLabels.trLtRows, {3, 16, 16}, 8, 8},
         // Whole layer shorter than the array: tc = 5 < C = 8.
-        OsFoldShape{"tc_lt_cols", {16, 5, 16}, 8, 8},
+        OsFoldShape{kOsFoldLabels.tcLtCols, {16, 5, 16}, 8, 8},
         // Temporal extent shorter than the fill: K = 4 < R = 8.
-        OsFoldShape{"k_lt_rows", {16, 16, 4}, 8, 8},
+        OsFoldShape{kOsFoldLabels.kLtRows, {16, 16, 4}, 8, 8},
         // Everything at once: single partial fold, tiny K.
-        OsFoldShape{"all_partial", {5, 3, 2}, 8, 8},
+        OsFoldShape{kOsFoldLabels.allPartial, {5, 3, 2}, 8, 8},
         // 1x1 fold grid edge with exactly full tiles.
-        OsFoldShape{"exact_tiles", {8, 8, 8}, 8, 8},
+        OsFoldShape{kOsFoldLabels.exactTiles, {8, 8, 8}, 8, 8},
         // Single row/column degenerate shapes.
-        OsFoldShape{"m_is_one", {1, 9, 7}, 8, 8},
-        OsFoldShape{"n_is_one", {9, 1, 7}, 8, 8}),
+        OsFoldShape{kOsFoldLabels.mIsOne, {1, 9, 7}, 8, 8},
+        OsFoldShape{kOsFoldLabels.nIsOne, {9, 1, 7}, 8, 8}),
     [](const auto& tpi) { return std::string(tpi.param.label); });
 
 TEST(DemandOs, SkewTiming)
