@@ -18,16 +18,15 @@
  * point owns its Simulator, so the measured ratios are unchanged
  * while the bench's wall-clock shrinks.
  *
- *   table4_sim_overhead [out.json] [--jobs N] [--reps N]
+ *   table4_sim_overhead [out.json] [--jobs N]
  *
- * `--reps N` measures every point N times and keeps its fastest run,
- * which filters out host interference (it only ever adds time). With
+ * Every point is measured kReps times and keeps its fastest run, which
+ * filters out host interference (it only ever adds time). With
  * `out.json`, also writes each feature's mean overhead ratio (and the
  * paper's) as JSON; CI gates the Layout and Energy ratios against the
  * committed BENCH_table4.json.
  */
 
-#include <cstring>
 #include <fstream>
 
 #include "bench_util.hpp"
@@ -166,12 +165,6 @@ main(int argc, char** argv)
     const std::string json_path =
         argc > 1 && argv[1][0] != '-' ? argv[1] : "";
     const unsigned jobs = benchutil::jobsFromArgs(argc, argv, 1);
-    unsigned reps = 1;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--reps") == 0)
-            reps = static_cast<unsigned>(
-                std::max(1l, std::strtol(argv[i + 1], nullptr, 10)));
-    }
     std::printf("=== Table IV: simulation-time overhead vs v2-style "
                 "baseline (TPU-v2-like config, jobs=%u) ===\n",
                 resolveJobs(jobs));
@@ -182,6 +175,7 @@ main(int argc, char** argv)
     const double paper_means[] = {2.29, 0.42, 0.29, 1.19, 2.13, 16.03};
     constexpr int kWorkloads = 4;
     constexpr int kFeatures = 6;
+    constexpr int kReps = 3;
 
     // One config point per (workload, baseline-or-feature) pair; each
     // point measures itself through SimProfiler and stores its profile
@@ -195,7 +189,7 @@ main(int argc, char** argv)
         const int w = static_cast<int>(i) / kPerWorkload;
         const int f = static_cast<int>(i) % kPerWorkload;
         const Topology topo = workloads::byName(workload_names[w]);
-        for (unsigned r = 0; r < reps; ++r) {
+        for (int r = 0; r < kReps; ++r) {
             const SimProfile p = f == 0
                 ? baselineProfile(topo)
                 : featureProfile(topo, features[f - 1]);
@@ -260,7 +254,6 @@ main(int argc, char** argv)
         json.beginObject();
         json.field("benchmark", "table4_sim_overhead");
         json.field("jobs", resolveJobs(jobs));
-        json.field("reps", reps);
         json.key("meanOverhead").beginObject();
         for (int f = 0; f < kFeatures; ++f)
             json.field(features[f], mean[f] / kWorkloads);

@@ -332,11 +332,14 @@ BankConflictEvaluator::endFold(std::uint64_t /*rf*/, std::uint64_t /*cf*/,
 {
     if (memoHit_) {
         ++foldsMemoized_;
-        return;
+    } else {
+        ++foldsWalked_;
+        if (pending_)
+            memo_.emplace(*pending_, fold_);
     }
-    ++foldsWalked_;
-    if (pending_)
-        memo_.emplace(*pending_, fold_);
+    // Cycles outside a replayed fold are always evaluated.
+    pending_.reset();
+    memoHit_ = false;
 }
 
 double

@@ -49,11 +49,6 @@ struct FoldCacheStats
     Count foldsLive = 0;
     /** Addresses emitted from cache arenas instead of live math. */
     Count addrsReplayed = 0;
-    /** Folds a layout sink took from its replay memo (set by the
-     *  simulator; the generator leaves both layout counters 0). */
-    Count layoutMemoized = 0;
-    /** Folds a layout sink evaluated cycle by cycle. */
-    Count layoutWalked = 0;
 
     /** Address bytes that skipped live generation. */
     Count bytesSaved() const { return addrsReplayed * sizeof(Addr); }
@@ -65,8 +60,6 @@ struct FoldCacheStats
         foldsReplayed += other.foldsReplayed;
         foldsLive += other.foldsLive;
         addrsReplayed += other.addrsReplayed;
-        layoutMemoized += other.layoutMemoized;
-        layoutWalked += other.layoutWalked;
     }
 };
 

@@ -570,12 +570,15 @@ TEST(AuditedRun, LayoutRunChecksReplayFidelity)
                }();
         EXPECT_EQ(run.audit.checksForLaw("layout.replayFidelity"),
                   2 * topo.layers.size());
-        const systolic::FoldCacheStats& s = sim.foldCacheStats();
-        EXPECT_EQ(s.layoutMemoized + s.layoutWalked, s.foldsTotal);
+        const double memoized =
+            run.stats.scalarValue("sim.foldCache.layoutMemoized");
+        EXPECT_EQ(memoized
+                      + run.stats.scalarValue("sim.foldCache.layoutWalked"),
+                  run.stats.scalarValue("sim.foldCache.folds"));
         if (cached)
-            EXPECT_GT(s.layoutMemoized, 0u);
+            EXPECT_GT(memoized, 0.0);
         else
-            EXPECT_EQ(s.layoutMemoized, 0u);
+            EXPECT_EQ(memoized, 0.0);
     }
 }
 

@@ -186,6 +186,38 @@ TEST(Evaluator, DecodingMatchesIndexEquations)
     }
 }
 
+TEST(Evaluator, CyclesOutsideReplayedFoldAreEvaluated)
+{
+    // A memo hit skips only the cycles of its own fold: a cycle after
+    // the replayed fold ends is charged like any other.
+    const GemmDims gemm{64, 64, 64};
+    const OperandMap operands = makeOperands(gemm);
+    const systolic::FoldGrid grid(gemm, Dataflow::WeightStationary, 8, 8);
+    const LayoutModelConfig cfg = layoutCfg(4, 1, 16);
+    const OperandLayouts layouts =
+        OperandLayouts::forGemm(gemm, cfg, LayoutScheme::RowMajor);
+    BankConflictEvaluator eval(cfg, layouts);
+    eval.beginLayer(grid, operands);
+    // Four rows at one column: four lines of the same bank.
+    std::vector<Addr> column;
+    for (std::uint64_t r = 0; r < 4; ++r)
+        column.push_back(operands.ifmapBase + r * gemm.k);
+    const Cycle cost = referenceCost(layouts.ifmap, column,
+                                     operands.ifmapBase, gemm.k, cfg);
+    ASSERT_GT(cost, 1u);
+    for (std::uint64_t rf = 1; rf <= 2; ++rf) {
+        eval.beginFold(rf, 0, 0);
+        eval.replayFold(0, 0, 0, {}, true);
+        eval.cycle(0, column, {}, {}, {});
+        eval.endFold(rf, 0, 1);
+    }
+    EXPECT_EQ(eval.foldsWalked(), 1u);
+    EXPECT_EQ(eval.foldsMemoized(), 1u);
+    eval.cycle(2, column, {}, {}, {});
+    EXPECT_EQ(eval.slowedCycles(), 3 * cost);
+    EXPECT_EQ(eval.conflictCycles(), 3u);
+}
+
 TEST(Evaluator, SlowdownAtLeastOne)
 {
     const GemmDims gemm{32, 24, 40};
