@@ -8,10 +8,11 @@
  *     bench/table4_sim_overhead uses as its baseline), cached vs
  *     uncached, best-of-N. This is the work the cache replaces, and
  *     the `speedup` the JSON records.
- *  2. Untimed, once per mode: the full trace-mode visitor stack
- *     (SramTraceWriter + CountingVisitor + ActionCountVisitor, what
- *     scalesim_cli -s drives) to verify cached and uncached runs
- *     agree on every access total and trace row count. The wall
+ *  2. Untimed, once per mode: a full trace-mode visitor stack
+ *     (SramTraceWriter + CountingVisitor + ActionCountVisitor, the
+ *     kinds of sink the Simulator's demand pass feeds) to verify
+ *     cached and uncached runs agree on every access total and trace
+ *     row count. The wall
  *     times of these verification passes are reported too
  *     (`fullStack*Seconds`) — visitor-side costs are identical in
  *     both modes, so the end-to-end win shrinks as consumers grow.
@@ -95,7 +96,7 @@ runDemandPass(const Topology& topo, const SimConfig& cfg, bool cached)
     return totals;
 }
 
-/** The verification pass: full scalesim_cli -s visitor stack. */
+/** The verification pass: a full trace-mode visitor stack. */
 PassTotals
 runFullStack(const Topology& topo, const SimConfig& cfg, bool cached)
 {

@@ -7,7 +7,12 @@
  *
  * -s additionally writes the cycle-accurate SRAM demand traces
  * (IFMAP_SRAM_TRACE.csv etc.) and the main-memory request trace
- * (MEM_TRACE.csv, §V-B format) into the output directory.
+ * (MEM_TRACE.csv, §V-B format) into the output directory. Both
+ * describe the reported run, in either mode: the SRAM trace writer is
+ * one more sink on the run's demand pass, and the memory trace records
+ * the requests the run's memory model served. Sparse layers on OS/IS
+ * dataflows have no cycle-level demand and write no SRAM rows; the
+ * tool warns once, naming them.
  *
  * Mirrors the original tool's flow: parse the .cfg, parse the topology
  * CSV (conv or GEMM format, with the v3 SparsitySupport column), run,
@@ -50,6 +55,9 @@ usage()
         "                    [--interval N]\n"
         "                    [--multicore PRxPC] [--contention MODEL]\n"
         "                    [--mc-jobs N]\n"
+        "  -s           write SRAM and main-memory traces of the\n"
+        "               reported run into the output dir (sparse\n"
+        "               OS/IS layers have no SRAM rows)\n"
         "  --no-fold-cache disable the fold-replay demand cache\n"
         "               (same outputs, slower trace mode)\n"
         "  --audit      audit cross-module conservation laws after\n"
@@ -307,9 +315,19 @@ main(int argc, char** argv)
                topo.name.c_str(), topo.layers.size(), cfg.arrayRows,
                cfg.arrayCols, toString(cfg.dataflow).c_str());
         core::Simulator sim(cfg);
+        std::filesystem::create_directories(out_dir);
+        std::ofstream ifmap_trace, filter_trace, ofmap_trace,
+            oread_trace;
+        if (write_traces) {
+            ifmap_trace.open(out_dir + "/IFMAP_SRAM_TRACE.csv");
+            filter_trace.open(out_dir + "/FILTER_SRAM_TRACE.csv");
+            ofmap_trace.open(out_dir + "/OFMAP_SRAM_TRACE.csv");
+            oread_trace.open(out_dir + "/OFMAP_READ_SRAM_TRACE.csv");
+            sim.attachTraces({&ifmap_trace, &filter_trace,
+                              &ofmap_trace, &oread_trace});
+        }
         const core::RunResult run = sim.run(topo);
 
-        std::filesystem::create_directories(out_dir);
         auto write = [&](const char* name, auto writer) {
             const std::string path = out_dir + "/" + name;
             std::ofstream out(path);
@@ -366,45 +384,24 @@ main(int argc, char** argv)
         }
 
         if (write_traces) {
-            // Cycle-accurate SRAM traces from one demand pass per
-            // layer, plus the §V-B main-memory request trace.
-            std::ofstream ifmap_out(out_dir + "/IFMAP_SRAM_TRACE.csv");
-            std::ofstream filter_out(out_dir
-                                     + "/FILTER_SRAM_TRACE.csv");
-            std::ofstream ofmap_out(out_dir + "/OFMAP_SRAM_TRACE.csv");
-            std::ofstream oread_out(out_dir
-                                    + "/OFMAP_READ_SRAM_TRACE.csv");
-            systolic::BandwidthMemory inner(
-                cfg.memory.bandwidthWordsPerCycle);
-            systolic::TracingMemory tracer(inner,
-                                           cfg.memory.wordBytes);
-            systolic::ScratchpadConfig spad_cfg;
-            spad_cfg.ifmapWords = cfg.memory.ifmapSramKb * 1024
-                / std::max<std::uint32_t>(1, cfg.memory.wordBytes);
-            spad_cfg.filterWords = cfg.memory.filterSramKb * 1024
-                / std::max<std::uint32_t>(1, cfg.memory.wordBytes);
-            spad_cfg.ofmapWords = cfg.memory.ofmapSramKb * 1024
-                / std::max<std::uint32_t>(1, cfg.memory.wordBytes);
-            systolic::DoubleBufferedScratchpad spad(spad_cfg, tracer);
-            for (const auto& layer : topo.layers) {
-                const auto operands = systolic::OperandMap::forLayer(
-                    layer, cfg.memory);
-                systolic::DemandGenerator gen(
-                    layer.toGemm(), cfg.dataflow, cfg.arrayRows,
-                    cfg.arrayCols, operands);
-                gen.setFoldCache(cfg.foldCache);
-                systolic::SramTraceWriter writer(&ifmap_out,
-                                                 &filter_out,
-                                                 &ofmap_out,
-                                                 &oread_out);
-                gen.run(writer);
-                spad.reset();
-                spad.runLayer(gen.grid(), operands);
-            }
             std::ofstream mem_out(out_dir + "/MEM_TRACE.csv");
-            systolic::writeMemTrace(mem_out, tracer.records());
+            systolic::writeMemTrace(mem_out,
+                                    sim.tracingMemory()->records());
             inform("wrote SRAM and memory traces to %s",
                    out_dir.c_str());
+            std::string untraced;
+            for (const auto& layer : run.layers) {
+                if (layer.sparse
+                    && cfg.dataflow != Dataflow::WeightStationary) {
+                    untraced += (untraced.empty() ? "" : ", ")
+                        + layer.name;
+                }
+            }
+            if (!untraced.empty()) {
+                warn("sparse layers on %s have no cycle-level demand "
+                     "and no SRAM trace rows: %s",
+                     toString(cfg.dataflow).c_str(), untraced.c_str());
+            }
         }
 
         run.writeSummary(std::cout);

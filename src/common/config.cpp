@@ -306,8 +306,6 @@ SimConfig::fromIni(const IniFile& ini)
     cfg.dram.enabled = ini.getBool("memory", "DramModel",
                                    cfg.dram.enabled);
     cfg.dram.tech = ini.getString("memory", "Tech", cfg.dram.tech);
-    cfg.dram.engine = ini.getString("memory", "DramEngine",
-                                    cfg.dram.engine);
     cfg.dram.channels = ini.getUint32("memory", "Channels",
                                       cfg.dram.channels);
     cfg.dram.ranksPerChannel = ini.getUint32(

@@ -166,9 +166,6 @@ struct DramConfig
     bool enabled = false;
     /** Technology preset name, e.g. DDR4_2400, LPDDR4_3200, HBM2. */
     std::string tech = "DDR4_2400";
-    /** Controller engine: "eventskip" (default) or "stepped" (the
-     *  bit-identical reference used by the A/B equivalence tests). */
-    std::string engine = "eventskip";
     std::uint32_t channels = 1;
     std::uint32_t ranksPerChannel = 1;
     /** Finite request queues; the accelerator stalls when full. */

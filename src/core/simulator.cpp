@@ -32,6 +32,11 @@ Simulator::init()
             cfg_.memory.bandwidthWordsPerCycle);
         memory_ = bandwidthMemory_.get();
     }
+    if (traces_) {
+        tracer_ = std::make_unique<systolic::TracingMemory>(
+            *memory_, cfg_.memory.wordBytes);
+        memory_ = tracer_.get();
+    }
 
     systolic::ScratchpadConfig spad;
     spad.ifmapWords = sramWords(cfg_.memory.ifmapSramKb);
@@ -69,6 +74,7 @@ Simulator::reset()
     // state, and the auditor accumulates checks. Dropping them first
     // releases the scratchpad's reference into the old memory model.
     scratchpad_.reset();
+    tracer_.reset();
     dram_.reset();
     bandwidthMemory_.reset();
     memory_ = nullptr;
@@ -81,6 +87,13 @@ Simulator::reset()
     layoutFoldsWalked_ = 0;
     profiler_.reset();
     ranOnce_ = false;
+}
+
+void
+Simulator::attachTraces(const TraceOutputs& outputs)
+{
+    traces_ = outputs;
+    reset();
 }
 
 std::uint64_t
@@ -138,23 +151,19 @@ Simulator::runLayer(const LayerSpec& layer, std::uint64_t layer_index)
     }
     result.mappingEfficiency = grid.mappingEfficiency();
 
-    // 2. Demand-driven passes (trace mode): layout slowdown and exact
-    //    energy action counts share one generation pass.
-    const bool want_trace = cfg_.mode == SimMode::Trace
-        && (cfg_.layout.enabled || cfg_.energy.enabled);
-    const bool sparse_trace_ok = !sparse_model.active()
-        || cfg_.dataflow == Dataflow::WeightStationary;
+    // 2. Demand-driven pass: one generation of the layer's per-cycle
+    //    demand feeds every sink that wants it. In trace mode those are
+    //    the layout slowdown and the exact energy action counts; with
+    //    traces attached, the SRAM trace writer too, in either mode.
+    //    Sparse layers have cycle-level demand only under WS.
     std::optional<layout::BankConflictEvaluator> layout_eval;
     std::optional<energy::ActionCountVisitor> action_visitor;
-    if (want_trace && sparse_trace_ok) {
-        const sparse::SparsityPattern* gather = sparse_model.active()
-            ? &sparse_model.pattern() : nullptr;
-        systolic::DemandGenerator generator(
-            result.denseGemm, cfg_.dataflow, cfg_.arrayRows,
-            cfg_.arrayCols, operands, gather);
-        generator.setFoldCache(cfg_.foldCache);
-        std::vector<systolic::DemandVisitor*> sinks;
-        if (cfg_.layout.enabled) {
+    std::optional<systolic::SramTraceWriter> trace_writer;
+    std::vector<systolic::DemandVisitor*> sinks;
+    if (!sparse_model.active()
+        || cfg_.dataflow == Dataflow::WeightStationary) {
+        const bool trace_mode = cfg_.mode == SimMode::Trace;
+        if (trace_mode && cfg_.layout.enabled) {
             layout_eval.emplace(
                 cfg_.layout,
                 layout::OperandLayouts::forOperands(
@@ -162,10 +171,25 @@ Simulator::runLayer(const LayerSpec& layer, std::uint64_t layer_index)
                     layout::LayoutScheme::RowMajor));
             sinks.push_back(&*layout_eval);
         }
-        if (cfg_.energy.enabled) {
+        if (trace_mode && cfg_.energy.enabled) {
             action_visitor.emplace(cfg_.energy);
             sinks.push_back(&*action_visitor);
         }
+        if (traces_) {
+            trace_writer.emplace(traces_->ifmapReads,
+                                 traces_->filterReads,
+                                 traces_->ofmapWrites,
+                                 traces_->ofmapReads);
+            sinks.push_back(&*trace_writer);
+        }
+    }
+    if (!sinks.empty()) {
+        const sparse::SparsityPattern* gather = sparse_model.active()
+            ? &sparse_model.pattern() : nullptr;
+        systolic::DemandGenerator generator(
+            result.denseGemm, cfg_.dataflow, cfg_.arrayRows,
+            cfg_.arrayCols, operands, gather);
+        generator.setFoldCache(cfg_.foldCache);
         systolic::TeeVisitor tee(std::move(sinks));
         {
             const auto prof = profiler_.scope(SimPhase::DemandGen);
@@ -340,30 +364,7 @@ Simulator::run(const Topology& topology)
     };
 
     for (std::size_t i = 0; i < topology.layers.size(); ++i) {
-        LayerResult layer = runLayer(topology.layers[i], i);
-        const std::uint64_t reps = layer.repetitions;
-        run.totalCycles += layer.totalCycles * reps;
-        run.computeCycles += layer.computeCycles * reps;
-        run.stallCycles += layer.stallCycles * reps;
-        run.dramReadWords += layer.timing.dramReadWords * reps;
-        run.dramWriteWords += layer.timing.dramWriteWords * reps;
-        run.cpiTotals.accumulate(layer.cpi, reps);
-        if (cfg_.energy.enabled) {
-            energy::EnergyBreakdown scaled = layer.energyBreakdown;
-            scaled.peArray *= static_cast<double>(reps);
-            scaled.glb *= static_cast<double>(reps);
-            scaled.noc *= static_cast<double>(reps);
-            scaled.dram *= static_cast<double>(reps);
-            scaled.staticE *= static_cast<double>(reps);
-            run.totalEnergy.merge(scaled);
-            // One instantaneous-power sample per layer instance.
-            for (std::uint64_t r = 0; r < reps; ++r) {
-                run.powerTrace.push_back({layer.name,
-                                          layer.totalCycles,
-                                          layer.powerW});
-            }
-        }
-        run.layers.push_back(std::move(layer));
+        run.addLayer(runLayer(topology.layers[i], i), energyModel_.get());
         if (sampler.enabled()) {
             obs::StatsRegistry snap;
             snapshot(snap);
@@ -375,11 +376,6 @@ Simulator::run(const Topology& topology)
         snapshot(snap);
         sampler.finish(timeline_, snap);
         run.intervals = sampler.takeSeries();
-    }
-    if (cfg_.energy.enabled && energyModel_) {
-        run.avgPowerW = energyModel_->averagePowerW(run.totalEnergy,
-                                                    run.totalCycles);
-        run.edp = energyModel_->edp(run.totalEnergy, run.totalCycles);
     }
     if (dram_)
         run.dramStats = dram_->system().totalStats();
@@ -415,6 +411,35 @@ Simulator::run(const Topology& topology)
     run.registerStats(run.stats);
     registerStats(run.stats);
     return run;
+}
+
+void
+RunResult::addLayer(LayerResult layer, const energy::EnergyModel* energy)
+{
+    const std::uint64_t reps = layer.repetitions;
+    totalCycles += layer.totalCycles * reps;
+    computeCycles += layer.computeCycles * reps;
+    stallCycles += layer.stallCycles * reps;
+    dramReadWords += layer.timing.dramReadWords * reps;
+    dramWriteWords += layer.timing.dramWriteWords * reps;
+    cpiTotals.accumulate(layer.cpi, reps);
+    if (energy) {
+        energy::EnergyBreakdown scaled = layer.energyBreakdown;
+        scaled.peArray *= static_cast<double>(reps);
+        scaled.glb *= static_cast<double>(reps);
+        scaled.noc *= static_cast<double>(reps);
+        scaled.dram *= static_cast<double>(reps);
+        scaled.staticE *= static_cast<double>(reps);
+        totalEnergy.merge(scaled);
+        // One instantaneous-power sample per layer instance.
+        for (std::uint64_t r = 0; r < reps; ++r) {
+            powerTrace.push_back({layer.name, layer.totalCycles,
+                                  layer.powerW});
+        }
+        avgPowerW = energy->averagePowerW(totalEnergy, totalCycles);
+        edp = energy->edp(totalEnergy, totalCycles);
+    }
+    layers.push_back(std::move(layer));
 }
 
 void

@@ -28,6 +28,7 @@
 #include "obs/stats.hpp"
 #include "sparse/model.hpp"
 #include "systolic/scratchpad.hpp"
+#include "systolic/trace_io.hpp"
 
 namespace scalesim::core
 {
@@ -68,6 +69,8 @@ struct LayerResult
 
     /** Average power of the layer in watts (0 if energy disabled). */
     double powerW = 0.0;
+
+    bool operator==(const LayerResult&) const = default;
 };
 
 /** Whole-run results plus report writers. */
@@ -161,11 +164,33 @@ struct RunResult
     void writeChromeTrace(std::ostream& out) const;
 
     /**
+     * Append one layer and fold it into the run totals: cycles, DRAM
+     * words and the CPI stack scale by its repetitions. With an energy
+     * model, so does its energy breakdown, each instance adds one
+     * power sample, and the run's average power and EdP are
+     * recomputed from the new totals.
+     */
+    void addLayer(LayerResult layer, const energy::EnergyModel* energy);
+
+    /**
      * Register run-derived stats (sim.*, sparse.*, energy.*) into a
      * registry. Component-state stats are registered by
      * Simulator::registerStats; Simulator::run does both.
      */
     void registerStats(obs::StatsRegistry& reg) const;
+};
+
+/**
+ * Streams for the cycle-accurate SRAM traces of
+ * Simulator::attachTraces, one per operand stream; null ones are
+ * skipped.
+ */
+struct TraceOutputs
+{
+    std::ostream* ifmapReads = nullptr;
+    std::ostream* filterReads = nullptr;
+    std::ostream* ofmapWrites = nullptr;
+    std::ostream* ofmapReads = nullptr;
 };
 
 /** The v3 simulator. One instance per accelerator configuration. */
@@ -194,8 +219,31 @@ class Simulator
     /** Simulate a whole topology. */
     RunResult run(const Topology& topology);
 
+    /**
+     * Trace the runs that follow. The SRAM trace writer joins the
+     * layer's demand pass as one more sink (the pass then runs in
+     * either mode), and a TracingMemory between the scratchpad and the
+     * memory model records every main-memory request on the run's
+     * timeline. Sparse layers on OS/IS dataflows have no cycle-level
+     * demand and write no SRAM rows. The streams must outlive every
+     * later run(). Rebuilds the instance as reset() does.
+     */
+    void attachTraces(const TraceOutputs& outputs);
+
+    /** Main-memory request recorder (null unless traces attached). */
+    const systolic::TracingMemory* tracingMemory() const
+    {
+        return tracer_.get();
+    }
+
     /** Access the DRAM system (null unless the DRAM model is on). */
     const dram::DramMemory* dramMemory() const { return dram_.get(); }
+
+    /** The energy model (null unless the energy model is on). */
+    const energy::EnergyModel* energyModel() const
+    {
+        return energyModel_.get();
+    }
 
     /** Self-profiling counters accumulated across runLayer calls. */
     SimProfile profile() const { return profiler_.snapshot(); }
@@ -227,6 +275,9 @@ class Simulator
     SimConfig cfg_;
     std::unique_ptr<systolic::BandwidthMemory> bandwidthMemory_;
     std::unique_ptr<dram::DramMemory> dram_;
+    /** Set by attachTraces(); tracer_ then wraps the memory model. */
+    std::optional<TraceOutputs> traces_;
+    std::unique_ptr<systolic::TracingMemory> tracer_;
     systolic::MainMemory* memory_; // non-owning view of the active one
     std::unique_ptr<systolic::DoubleBufferedScratchpad> scratchpad_;
     std::unique_ptr<energy::EnergyModel> energyModel_;

@@ -1,7 +1,6 @@
 #include "dram/controller.hpp"
 
 #include <algorithm>
-#include <cctype>
 
 #include "check/contract.hpp"
 #include "common/log.hpp"
@@ -26,24 +25,6 @@ DramStats::merge(const DramStats& other)
     readServiceTime += other.readServiceTime;
     firstArrival = std::min(firstArrival, other.firstArrival);
     lastCompletion = std::max(lastCompletion, other.lastCompletion);
-}
-
-DramEngine
-dramEngineFromString(std::string_view text)
-{
-    std::string lower;
-    for (char ch : text) {
-        if (ch == '-' || ch == '_')
-            continue;
-        lower.push_back(static_cast<char>(
-            std::tolower(static_cast<unsigned char>(ch))));
-    }
-    if (lower == "eventskip")
-        return DramEngine::EventSkip;
-    if (lower == "stepped")
-        return DramEngine::Stepped;
-    fatal("unknown DRAM engine '%.*s' (eventskip|stepped)",
-          static_cast<int>(text.size()), text.data());
 }
 
 const char*

@@ -15,7 +15,6 @@
 
 #include <deque>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -57,8 +56,9 @@ enum class PagePolicy
 /**
  * Controller scheduling engine. Both produce bit-identical schedules,
  * stats, and completions; EventSkip is the production engine and
- * Stepped the plain reference kept for A/B equivalence tests (the
- * same pattern as ContentionModel::Static for the multi-core model).
+ * Stepped the plain reference kept for A/B equivalence tests, which
+ * select it through DramSystemConfig::engine; it is not a user config
+ * knob.
  *
  * EventSkip fast-forwards idle stretches: refresh catch-up after a
  * long gap is one closed-form division instead of a loop over every
@@ -72,7 +72,6 @@ enum class DramEngine
     Stepped,
 };
 
-DramEngine dramEngineFromString(std::string_view text);
 const char* toString(DramEngine engine);
 
 /** Aggregate statistics of one channel (or summed across channels). */
@@ -118,6 +117,8 @@ struct DramStats
     }
 
     void merge(const DramStats& other);
+
+    bool operator==(const DramStats&) const = default;
 };
 
 /** Row-buffer outcome counters of one bank (observability). */

@@ -269,7 +269,6 @@ DramMemory::DramMemory(const DramConfig& cfg, std::uint32_t word_bytes)
           sys.timing = timingPreset(cfg.tech);
           sys.channels = cfg.channels;
           sys.ranks = cfg.ranksPerChannel;
-          sys.engine = dramEngineFromString(cfg.engine);
           return sys;
       }()),
       wordBytes_(word_bytes == 0 ? 1 : word_bytes),

@@ -38,6 +38,8 @@ struct SramActionCounts
         writeRepeat += o.writeRepeat;
         idle += o.idle;
     }
+
+    bool operator==(const SramActionCounts&) const = default;
 };
 
 /** Complete action-count summary for one layer (or accumulated run). */
@@ -72,6 +74,8 @@ struct ActionCounts
     Cycle cycles = 0;
 
     void merge(const ActionCounts& other);
+
+    bool operator==(const ActionCounts&) const = default;
 };
 
 /**

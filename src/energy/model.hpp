@@ -48,6 +48,8 @@ struct EnergyBreakdown
         dram += o.dram;
         staticE += o.staticE;
     }
+
+    bool operator==(const EnergyBreakdown&) const = default;
 };
 
 /** One sample of the instantaneous power trace. */

@@ -58,6 +58,8 @@ struct CpiStack
      */
     void registerStats(StatsRegistry& reg, std::string_view name,
                        std::string_view desc) const;
+
+    bool operator==(const CpiStack&) const = default;
 };
 
 } // namespace scalesim::obs

@@ -1,6 +1,7 @@
 #include "serve/cached_runner.hpp"
 
-#include <algorithm>
+#include <optional>
+#include <string>
 
 #include "common/hash.hpp"
 #include "common/log.hpp"
@@ -14,7 +15,7 @@ namespace
 {
 
 /** Bump on any change to the key schema or payload encoding. */
-constexpr std::uint64_t kCacheSchemaVersion = 1;
+constexpr std::uint64_t kCacheSchemaVersion = 2;
 
 void
 mixLayer(Fnv1a& h, const LayerSpec& layer)
@@ -80,7 +81,6 @@ layerCacheKey(const SimConfig& cfg, const LayerSpec& layer,
 
     h.mix(static_cast<std::uint8_t>(cfg.dram.enabled));
     h.mixString(cfg.dram.tech);
-    h.mixString(cfg.dram.engine);
     h.mix(cfg.dram.channels);
     h.mix(cfg.dram.ranksPerChannel);
     h.mix(cfg.dram.readQueueSize);
@@ -112,285 +112,124 @@ layerCacheKey(const SimConfig& cfg, const LayerSpec& layer,
 namespace
 {
 
-void
-putCpi(ByteWriter& out, const obs::CpiStack& cpi)
+/** Encoding direction of walkLayerPayload. */
+struct PayloadWriter
 {
-    out.put(cpi.compute);
-    out.put(cpi.vectorUnit);
-    out.put(cpi.drain);
-    out.put(cpi.bandwidth);
-    out.put(cpi.prefetchMiss);
-    out.put(cpi.l2Wait);
-    out.put(cpi.dramQueue);
-    out.put(cpi.dramService);
-    out.put(cpi.refresh);
-}
+    ByteWriter out;
 
-void
-getCpi(ByteReader& in, obs::CpiStack& cpi)
-{
-    cpi.compute = in.get<std::uint64_t>();
-    cpi.vectorUnit = in.get<std::uint64_t>();
-    cpi.drain = in.get<std::uint64_t>();
-    cpi.bandwidth = in.get<std::uint64_t>();
-    cpi.prefetchMiss = in.get<std::uint64_t>();
-    cpi.l2Wait = in.get<std::uint64_t>();
-    cpi.dramQueue = in.get<std::uint64_t>();
-    cpi.dramService = in.get<std::uint64_t>();
-    cpi.refresh = in.get<std::uint64_t>();
-}
+    void operator()(const auto&... fields) { (put(fields), ...); }
 
-void
-putSram(ByteWriter& out, const energy::SramActionCounts& s)
-{
-    out.put(s.readRandom);
-    out.put(s.readRepeat);
-    out.put(s.writeRandom);
-    out.put(s.writeRepeat);
-    out.put(s.idle);
-}
+    /** Presence byte, then the value's fields if present. */
+    template <typename T>
+    const T*
+    optional(const std::optional<T>& value)
+    {
+        out.put(static_cast<std::uint8_t>(value.has_value()));
+        return value ? &*value : nullptr;
+    }
 
-void
-getSram(ByteReader& in, energy::SramActionCounts& s)
+  private:
+    void put(const std::string& text) { out.putString(text); }
+    void put(const auto& value) { out.put(value); }
+};
+
+/** Decoding direction of walkLayerPayload. */
+struct PayloadReader
 {
-    s.readRandom = in.get<Count>();
-    s.readRepeat = in.get<Count>();
-    s.writeRandom = in.get<Count>();
-    s.writeRepeat = in.get<Count>();
-    s.idle = in.get<Count>();
-}
+    ByteReader in;
+
+    void operator()(auto&... fields) { (get(fields), ...); }
+
+    template <typename T>
+    T*
+    optional(std::optional<T>& value)
+    {
+        return in.get<std::uint8_t>() != 0 ? &value.emplace() : nullptr;
+    }
+
+  private:
+    void get(std::string& text) { text = in.getString(); }
+    template <typename T>
+    void get(T& value) { value = in.get<T>(); }
+};
 
 /**
- * Encode one layer's isolated evaluation: the LayerResult (minus its
- * display name/repetitions, patched at hit time), the DRAM stats of
- * the isolated run, and the component stats registry snapshot.
- * Doubles are stored as bit patterns — the round trip is lossless, so
- * cached and freshly simulated results are bit-identical.
+ * The layer payload's fields in wire order, walked by PayloadWriter
+ * (const `r`/`ds`) or PayloadReader: one layer's isolated evaluation
+ * minus its display name/repetitions (patched at hit time), then the
+ * DRAM stats of the isolated run. Each field is stored at its declared
+ * width and doubles as bit patterns, so the round trip is lossless and
+ * cached results are bit-identical to freshly simulated ones.
  */
+void
+walkLayerPayload(auto& io, auto& r, auto& ds)
+{
+    auto cpi = [&](auto& c) {
+        io(c.compute, c.vectorUnit, c.drain, c.bandwidth, c.prefetchMiss,
+           c.l2Wait, c.dramQueue, c.dramService, c.refresh);
+    };
+    auto sram = [&](auto& a) {
+        io(a.readRandom, a.readRepeat, a.writeRandom, a.writeRepeat,
+           a.idle);
+    };
+    io(r.denseGemm.m, r.denseGemm.n, r.denseGemm.k, r.effectiveGemm.m,
+       r.effectiveGemm.n, r.effectiveGemm.k, r.computeCycles,
+       r.simdCycles, r.totalCycles, r.stallCycles, r.utilization,
+       r.speedup, r.mappingEfficiency, r.layoutSlowdown);
+    cpi(r.cpi);
+
+    auto& t = r.timing;
+    io(t.computeCycles, t.totalCycles, t.stallCycles,
+       t.prefetchStallCycles, t.drainStallCycles, t.bandwidthStallCycles);
+    cpi(t.cpi);
+    io(t.folds, t.dramReadWords, t.dramWriteWords, t.dramReadRequests,
+       t.dramWriteRequests, t.avgReadLatency, t.readQueueStalls,
+       t.writeQueueStalls);
+
+    if (auto* s = io.optional(r.sparse)) {
+        io(s->representation, s->ratioN, s->ratioM, s->denseK,
+           s->compressedK, s->originalFilterBits, s->newFilterBits,
+           s->metadataBits);
+    }
+
+    auto& a = r.actions;
+    io(a.macRandom, a.macConstant, a.macGated, a.ifmapSpadRead,
+       a.ifmapSpadWrite, a.weightSpadRead, a.weightSpadWrite,
+       a.psumSpadRead, a.psumSpadWrite);
+    sram(a.ifmapSram);
+    sram(a.filterSram);
+    sram(a.ofmapSram);
+    io(a.vectorOps, a.dramReadWords, a.dramWriteWords, a.nocWords,
+       a.cycles);
+
+    auto& e = r.energyBreakdown;
+    io(e.peArray, e.glb, e.noc, e.dram, e.staticE, r.powerW);
+
+    io(ds.reads, ds.writes, ds.rowHits, ds.rowMisses, ds.rowConflicts,
+       ds.refreshes, ds.readBytes, ds.writeBytes, ds.totalReadLatency,
+       ds.readQueueWait, ds.readRefreshWait, ds.readServiceTime,
+       ds.firstArrival, ds.lastCompletion);
+}
+
+/** Payload: walkLayerPayload's fields, then the component stats. */
 std::string
 encodeLayerPayload(const core::LayerResult& r,
                    const dram::DramStats& ds,
                    const obs::StatsRegistry& comp)
 {
-    ByteWriter out;
-    out.put(r.denseGemm.m);
-    out.put(r.denseGemm.n);
-    out.put(r.denseGemm.k);
-    out.put(r.effectiveGemm.m);
-    out.put(r.effectiveGemm.n);
-    out.put(r.effectiveGemm.k);
-    out.put(r.computeCycles);
-    out.put(r.simdCycles);
-    out.put(r.totalCycles);
-    out.put(r.stallCycles);
-    out.put(r.utilization);
-    out.put(r.speedup);
-    out.put(r.mappingEfficiency);
-    out.put(r.layoutSlowdown);
-    putCpi(out, r.cpi);
-
-    const systolic::LayerTiming& t = r.timing;
-    out.put(t.computeCycles);
-    out.put(t.totalCycles);
-    out.put(t.stallCycles);
-    out.put(t.prefetchStallCycles);
-    out.put(t.drainStallCycles);
-    out.put(t.bandwidthStallCycles);
-    putCpi(out, t.cpi);
-    out.put(t.folds);
-    out.put(t.dramReadWords);
-    out.put(t.dramWriteWords);
-    out.put(t.dramReadRequests);
-    out.put(t.dramWriteRequests);
-    out.put(t.avgReadLatency);
-    out.put(t.readQueueStalls);
-    out.put(t.writeQueueStalls);
-
-    out.put(static_cast<std::uint8_t>(r.sparse.has_value()));
-    if (r.sparse) {
-        const sparse::SparseLayerReport& s = *r.sparse;
-        out.putString(s.representation);
-        out.put(s.ratioN);
-        out.put(s.ratioM);
-        out.put(s.denseK);
-        out.put(s.compressedK);
-        out.put(s.originalFilterBits);
-        out.put(s.newFilterBits);
-        out.put(s.metadataBits);
-    }
-
-    const energy::ActionCounts& a = r.actions;
-    out.put(a.macRandom);
-    out.put(a.macConstant);
-    out.put(a.macGated);
-    out.put(a.ifmapSpadRead);
-    out.put(a.ifmapSpadWrite);
-    out.put(a.weightSpadRead);
-    out.put(a.weightSpadWrite);
-    out.put(a.psumSpadRead);
-    out.put(a.psumSpadWrite);
-    putSram(out, a.ifmapSram);
-    putSram(out, a.filterSram);
-    putSram(out, a.ofmapSram);
-    out.put(a.vectorOps);
-    out.put(a.dramReadWords);
-    out.put(a.dramWriteWords);
-    out.put(a.nocWords);
-    out.put(a.cycles);
-
-    out.put(r.energyBreakdown.peArray);
-    out.put(r.energyBreakdown.glb);
-    out.put(r.energyBreakdown.noc);
-    out.put(r.energyBreakdown.dram);
-    out.put(r.energyBreakdown.staticE);
-    out.put(r.powerW);
-
-    out.put(ds.reads);
-    out.put(ds.writes);
-    out.put(ds.rowHits);
-    out.put(ds.rowMisses);
-    out.put(ds.rowConflicts);
-    out.put(ds.refreshes);
-    out.put(ds.readBytes);
-    out.put(ds.writeBytes);
-    out.put(ds.totalReadLatency);
-    out.put(ds.readQueueWait);
-    out.put(ds.readRefreshWait);
-    out.put(ds.readServiceTime);
-    out.put(ds.firstArrival);
-    out.put(ds.lastCompletion);
-
-    comp.serialize(out);
-    return out.take();
+    PayloadWriter io;
+    walkLayerPayload(io, r, ds);
+    comp.serialize(io.out);
+    return io.out.take();
 }
 
 bool
 decodeLayerPayload(const std::string& payload, core::LayerResult& r,
                    dram::DramStats& ds, obs::StatsRegistry& comp)
 {
-    ByteReader in(payload);
-    r.denseGemm.m = in.get<std::uint64_t>();
-    r.denseGemm.n = in.get<std::uint64_t>();
-    r.denseGemm.k = in.get<std::uint64_t>();
-    r.effectiveGemm.m = in.get<std::uint64_t>();
-    r.effectiveGemm.n = in.get<std::uint64_t>();
-    r.effectiveGemm.k = in.get<std::uint64_t>();
-    r.computeCycles = in.get<Cycle>();
-    r.simdCycles = in.get<Cycle>();
-    r.totalCycles = in.get<Cycle>();
-    r.stallCycles = in.get<Cycle>();
-    r.utilization = in.get<double>();
-    r.speedup = in.get<double>();
-    r.mappingEfficiency = in.get<double>();
-    r.layoutSlowdown = in.get<double>();
-    getCpi(in, r.cpi);
-
-    systolic::LayerTiming& t = r.timing;
-    t.computeCycles = in.get<Cycle>();
-    t.totalCycles = in.get<Cycle>();
-    t.stallCycles = in.get<Cycle>();
-    t.prefetchStallCycles = in.get<Cycle>();
-    t.drainStallCycles = in.get<Cycle>();
-    t.bandwidthStallCycles = in.get<Cycle>();
-    getCpi(in, t.cpi);
-    t.folds = in.get<Count>();
-    t.dramReadWords = in.get<std::uint64_t>();
-    t.dramWriteWords = in.get<std::uint64_t>();
-    t.dramReadRequests = in.get<Count>();
-    t.dramWriteRequests = in.get<Count>();
-    t.avgReadLatency = in.get<double>();
-    t.readQueueStalls = in.get<Cycle>();
-    t.writeQueueStalls = in.get<Cycle>();
-
-    if (in.get<std::uint8_t>() != 0) {
-        sparse::SparseLayerReport s;
-        s.representation = in.getString();
-        s.ratioN = in.get<std::uint32_t>();
-        s.ratioM = in.get<std::uint32_t>();
-        s.denseK = in.get<std::uint64_t>();
-        s.compressedK = in.get<std::uint64_t>();
-        s.originalFilterBits = in.get<std::uint64_t>();
-        s.newFilterBits = in.get<std::uint64_t>();
-        s.metadataBits = in.get<std::uint64_t>();
-        r.sparse = std::move(s);
-    }
-
-    energy::ActionCounts& a = r.actions;
-    a.macRandom = in.get<Count>();
-    a.macConstant = in.get<Count>();
-    a.macGated = in.get<Count>();
-    a.ifmapSpadRead = in.get<Count>();
-    a.ifmapSpadWrite = in.get<Count>();
-    a.weightSpadRead = in.get<Count>();
-    a.weightSpadWrite = in.get<Count>();
-    a.psumSpadRead = in.get<Count>();
-    a.psumSpadWrite = in.get<Count>();
-    getSram(in, a.ifmapSram);
-    getSram(in, a.filterSram);
-    getSram(in, a.ofmapSram);
-    a.vectorOps = in.get<Count>();
-    a.dramReadWords = in.get<Count>();
-    a.dramWriteWords = in.get<Count>();
-    a.nocWords = in.get<Count>();
-    a.cycles = in.get<Cycle>();
-
-    r.energyBreakdown.peArray = in.get<double>();
-    r.energyBreakdown.glb = in.get<double>();
-    r.energyBreakdown.noc = in.get<double>();
-    r.energyBreakdown.dram = in.get<double>();
-    r.energyBreakdown.staticE = in.get<double>();
-    r.powerW = in.get<double>();
-
-    ds.reads = in.get<Count>();
-    ds.writes = in.get<Count>();
-    ds.rowHits = in.get<Count>();
-    ds.rowMisses = in.get<Count>();
-    ds.rowConflicts = in.get<Count>();
-    ds.refreshes = in.get<Count>();
-    ds.readBytes = in.get<std::uint64_t>();
-    ds.writeBytes = in.get<std::uint64_t>();
-    ds.totalReadLatency = in.get<Cycle>();
-    ds.readQueueWait = in.get<Cycle>();
-    ds.readRefreshWait = in.get<Cycle>();
-    ds.readServiceTime = in.get<Cycle>();
-    ds.firstArrival = in.get<Cycle>();
-    ds.lastCompletion = in.get<Cycle>();
-
-    if (!comp.deserialize(in))
-        return false;
-    return in.atEnd();
-}
-
-constexpr Cycle kNoArrival = ~static_cast<Cycle>(0);
-
-/**
- * Fold one isolated layer's DRAM stats into a run-level aggregate:
- * counts and byte totals sum; the arrival/completion envelope takes
- * the min/max of the per-layer (layer-local-time) envelopes, which is
- * indicative only under isolated semantics.
- */
-void
-accumulateDramStats(dram::DramStats& total, const dram::DramStats& ds)
-{
-    total.reads += ds.reads;
-    total.writes += ds.writes;
-    total.rowHits += ds.rowHits;
-    total.rowMisses += ds.rowMisses;
-    total.rowConflicts += ds.rowConflicts;
-    total.refreshes += ds.refreshes;
-    total.readBytes += ds.readBytes;
-    total.writeBytes += ds.writeBytes;
-    total.totalReadLatency += ds.totalReadLatency;
-    total.readQueueWait += ds.readQueueWait;
-    total.readRefreshWait += ds.readRefreshWait;
-    total.readServiceTime += ds.readServiceTime;
-    if (ds.firstArrival != kNoArrival) {
-        total.firstArrival = total.firstArrival == kNoArrival
-            ? ds.firstArrival
-            : std::min(total.firstArrival, ds.firstArrival);
-    }
-    total.lastCompletion =
-        std::max(total.lastCompletion, ds.lastCompletion);
+    PayloadReader io{ByteReader(payload)};
+    walkLayerPayload(io, r, ds);
+    return comp.deserialize(io.in) && io.in.atEnd();
 }
 
 } // namespace
@@ -465,43 +304,13 @@ runTopologyCached(const SimConfig& cfg, const Topology& topology,
         if (layer.sparse)
             layer.sparse->layerName = spec.name;
 
-        const std::uint64_t reps = layer.repetitions;
-        run.totalCycles += layer.totalCycles * reps;
-        run.computeCycles += layer.computeCycles * reps;
-        run.stallCycles += layer.stallCycles * reps;
-        run.dramReadWords += layer.timing.dramReadWords * reps;
-        run.dramWriteWords += layer.timing.dramWriteWords * reps;
-        run.cpiTotals.accumulate(layer.cpi, reps);
-        if (cfg.energy.enabled) {
-            energy::EnergyBreakdown scaled = layer.energyBreakdown;
-            scaled.peArray *= static_cast<double>(reps);
-            scaled.glb *= static_cast<double>(reps);
-            scaled.noc *= static_cast<double>(reps);
-            scaled.dram *= static_cast<double>(reps);
-            scaled.staticE *= static_cast<double>(reps);
-            run.totalEnergy.merge(scaled);
-            for (std::uint64_t rep = 0; rep < reps; ++rep) {
-                run.powerTrace.push_back(
-                    {layer.name, layer.totalCycles, layer.powerW});
-            }
-        }
-        if (cfg.dram.enabled)
-            accumulateDramStats(run.dramStats, layer_dram);
+        // The DRAM arrival/completion envelope of isolated layers is
+        // in layer-local time, so it is indicative only.
+        run.dramStats.merge(layer_dram);
         comp_accum.merge(comp);
-        run.layers.push_back(std::move(layer));
+        run.addLayer(std::move(layer), sim.energyModel());
     }
 
-    if (cfg.energy.enabled) {
-        const double sram_kb = static_cast<double>(
-            cfg.memory.ifmapSramKb + cfg.memory.filterSramKb
-            + cfg.memory.ofmapSramKb);
-        const energy::EnergyModel model(
-            energy::Ert::forNode(cfg.energy.node), cfg.energy,
-            cfg.numPes(), sram_kb);
-        run.avgPowerW = model.averagePowerW(run.totalEnergy,
-                                            run.totalCycles);
-        run.edp = model.edp(run.totalEnergy, run.totalCycles);
-    }
     if (sim_used)
         run.profile = sim.profile();
     run.registerStats(run.stats);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -59,39 +60,56 @@ configFromRequest(const IniFile& base, const obs::JsonValue& req)
     return SimConfig::fromIni(ini);
 }
 
+/**
+ * Member `key` of a layer object as an integer field of type T, or
+ * `fallback` when absent. Negative, fractional, non-finite and
+ * out-of-range values are rejected before any cast (the cast would be
+ * undefined), and so is zero when `nonzero`.
+ */
+template <typename T>
+T
+layerField(const obs::JsonValue& v, const char* key, double fallback,
+           bool nonzero = true)
+{
+    const double x = v.numberAt(key, fallback);
+    const double limit =
+        std::ldexp(1.0, std::numeric_limits<T>::digits);
+    if (!(x >= (nonzero ? 1.0 : 0.0) && x < limit
+          && x == std::floor(x))) {
+        throw std::runtime_error(
+            format("layer field '%s' must be a%s integer below 2^%d, "
+                   "got %g", key, nonzero ? " positive" : "n unsigned",
+                   std::numeric_limits<T>::digits, x));
+    }
+    return static_cast<T>(x);
+}
+
 LayerSpec
 layerFromJson(const obs::JsonValue& v, std::size_t index)
 {
     if (v.kind != obs::JsonValue::Kind::Object)
         throw std::runtime_error("each layer must be an object");
     const std::string type = v.stringAt("type", "conv");
+    const std::string name =
+        v.stringAt("name", "layer" + std::to_string(index));
+    auto dim = [&](const char* key, double fallback = 0.0) {
+        return layerField<std::uint64_t>(v, key, fallback);
+    };
     LayerSpec layer;
     if (type == "gemm") {
-        layer = LayerSpec::gemm(
-            v.stringAt("name", "layer" + std::to_string(index)),
-            static_cast<std::uint64_t>(v.numberAt("m")),
-            static_cast<std::uint64_t>(v.numberAt("n")),
-            static_cast<std::uint64_t>(v.numberAt("k")));
+        layer = LayerSpec::gemm(name, dim("m"), dim("n"), dim("k"));
     } else if (type == "conv") {
-        layer = LayerSpec::conv(
-            v.stringAt("name", "layer" + std::to_string(index)),
-            static_cast<std::uint64_t>(v.numberAt("ifmapH")),
-            static_cast<std::uint64_t>(v.numberAt("ifmapW")),
-            static_cast<std::uint64_t>(v.numberAt("filterH")),
-            static_cast<std::uint64_t>(v.numberAt("filterW")),
-            static_cast<std::uint64_t>(v.numberAt("channels")),
-            static_cast<std::uint64_t>(v.numberAt("numFilters")),
-            static_cast<std::uint64_t>(v.numberAt("stride", 1.0)));
+        layer = LayerSpec::conv(name, dim("ifmapH"), dim("ifmapW"),
+                                dim("filterH"), dim("filterW"),
+                                dim("channels"), dim("numFilters"),
+                                dim("stride", 1.0));
     } else {
         throw std::runtime_error("unknown layer type '" + type + "'");
     }
-    layer.repetitions =
-        static_cast<std::uint32_t>(v.numberAt("repetitions", 1.0));
-    layer.batch = static_cast<std::uint64_t>(v.numberAt("batch", 1.0));
-    layer.sparseN =
-        static_cast<std::uint32_t>(v.numberAt("sparseN", 0.0));
-    layer.sparseM =
-        static_cast<std::uint32_t>(v.numberAt("sparseM", 0.0));
+    layer.repetitions = layerField<std::uint32_t>(v, "repetitions", 1.0);
+    layer.batch = dim("batch", 1.0);
+    layer.sparseN = layerField<std::uint32_t>(v, "sparseN", 0.0, false);
+    layer.sparseM = layerField<std::uint32_t>(v, "sparseM", 0.0, false);
     const std::string tail = v.stringAt("tail");
     if (!tail.empty())
         layer.tail = vectorTailFromString(tail);

@@ -34,6 +34,8 @@ struct SparseLayerReport
     /** Compressed values + metadata, bits. */
     std::uint64_t newFilterBits = 0;
     std::uint64_t metadataBits = 0;
+
+    bool operator==(const SparseLayerReport&) const = default;
 };
 
 /**

@@ -66,6 +66,8 @@ struct FoldSpan
     Cycle end = 0;
     std::uint32_t rowFold = 0;
     std::uint32_t colFold = 0;
+
+    bool operator==(const FoldSpan&) const = default;
 };
 
 /** Timing and traffic results of one layer run. */
@@ -161,6 +163,8 @@ struct LayerTiming
                 / dramReadRequests;
         }
     }
+
+    bool operator==(const LayerTiming&) const = default;
 };
 
 /**

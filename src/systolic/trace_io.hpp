@@ -109,7 +109,12 @@ struct MemTraceRecord
     bool operator==(const MemTraceRecord&) const = default;
 };
 
-/** MainMemory decorator that records every transaction it forwards. */
+/**
+ * MainMemory decorator that records every transaction it forwards. It
+ * is transparent: completions, lastIssueWait() and stats() (read
+ * latency split included) are the inner model's, so a run timed
+ * through it matches one timed against the inner model directly.
+ */
 class TracingMemory : public MainMemory
 {
   public:
@@ -117,6 +122,11 @@ class TracingMemory : public MainMemory
 
     Cycle issueRead(Addr addr, Count words, Cycle now) override;
     Cycle issueWrite(Addr addr, Count words, Cycle now) override;
+
+    Cycle lastIssueWait() const override
+    {
+        return inner_.lastIssueWait();
+    }
 
     const std::vector<MemTraceRecord>& records() const
     {

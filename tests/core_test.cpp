@@ -7,14 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "common/csv.hpp"
 #include "common/log.hpp"
 #include "common/workloads.hpp"
 #include "core/dse.hpp"
 #include "core/simulator.hpp"
+#include "systolic/demand.hpp"
+#include "systolic/trace_io.hpp"
+
+#include "json_check.hpp"
 
 using namespace scalesim;
 using namespace scalesim::core;
@@ -543,4 +549,150 @@ TEST(DseSweep, SramSplitConservesEveryKilobyte)
     EXPECT_EQ(kb1024.ifmapKb, 512u);
     EXPECT_EQ(kb1024.filterKb, 256u);
     EXPECT_EQ(kb1024.ofmapKb, 256u);
+}
+
+// ---------------------------------------------------------------------
+// Traces attached to a run describe that run and leave it unchanged.
+
+namespace
+{
+
+/** The run's reports, JSON layers and (optionally) stats dump. */
+std::string
+reportedOutputs(const RunResult& run, bool with_stats)
+{
+    std::ostringstream out;
+    run.writeComputeReport(out);
+    run.writeBandwidthReport(out);
+    run.writeEnergyReport(out);
+    run.writePowerReport(out);
+    std::ostringstream json;
+    run.writeJson(json);
+    jsoncheck::Value doc;
+    EXPECT_TRUE(jsoncheck::valid(json.str(), doc));
+    if (const jsoncheck::Value* layers = doc.find("layers"))
+        out << jsoncheck::canonical(*layers) << '\n';
+    if (with_stats)
+        run.writeStats(out);
+    return out.str();
+}
+
+/** The four SRAM streams of one SramTraceWriter pass per layer. */
+std::vector<std::string>
+standaloneSramTraces(const SimConfig& cfg, const Topology& topo)
+{
+    std::ostringstream streams[4];
+    for (const LayerSpec& layer : topo.layers) {
+        const systolic::DemandGenerator gen(
+            layer.toGemm(), cfg.dataflow, cfg.arrayRows, cfg.arrayCols,
+            systolic::OperandMap::forLayer(layer, cfg.memory));
+        systolic::SramTraceWriter writer(&streams[0], &streams[1],
+                                         &streams[2], &streams[3]);
+        gen.run(writer);
+    }
+    return {streams[0].str(), streams[1].str(), streams[2].str(),
+            streams[3].str()};
+}
+
+/**
+ * Run `topo` with and without traces attached; the traced run must
+ * report the same, and its traces must describe that run.
+ */
+void
+expectTracesDescribeRun(const SimConfig& cfg, bool with_stats)
+{
+    Topology topo = tinyTopology();
+    LayerSpec repeated = LayerSpec::gemm("fc2", 32, 48, 64);
+    repeated.repetitions = 2;
+    topo.layers.push_back(repeated);
+
+    Simulator plain_sim(cfg);
+    const RunResult plain = plain_sim.run(topo);
+
+    std::ostringstream streams[4];
+    Simulator sim(cfg);
+    sim.attachTraces({&streams[0], &streams[1], &streams[2],
+                      &streams[3]});
+    const RunResult run = sim.run(topo);
+    EXPECT_EQ(reportedOutputs(run, with_stats),
+              reportedOutputs(plain, with_stats));
+
+    const auto& records = sim.tracingMemory()->records();
+    ASSERT_FALSE(records.empty());
+    Count reads = 0, writes = 0, read_bytes = 0, write_bytes = 0;
+    Cycle last = 0;
+    for (const auto& rec : records) {
+        (rec.write ? writes : reads) += 1;
+        (rec.write ? write_bytes : read_bytes) += rec.bytes;
+        last = std::max(last, rec.cycle);
+    }
+    const double word_bytes = cfg.memory.wordBytes;
+    EXPECT_EQ(reads, run.stats.scalarValue("mem.readRequests"));
+    EXPECT_EQ(writes, run.stats.scalarValue("mem.writeRequests"));
+    EXPECT_EQ(read_bytes,
+              run.stats.scalarValue("mem.readWords") * word_bytes);
+    EXPECT_EQ(write_bytes,
+              run.stats.scalarValue("mem.writeWords") * word_bytes);
+    EXPECT_LT(last, run.totalCycles);
+
+    const std::vector<std::string> standalone =
+        standaloneSramTraces(cfg, topo);
+    for (std::size_t i = 0; i < standalone.size(); ++i) {
+        EXPECT_FALSE(standalone[i].empty()) << "stream " << i;
+        EXPECT_EQ(streams[i].str(), standalone[i]) << "stream " << i;
+    }
+}
+
+SimConfig
+tracedConfig()
+{
+    SimConfig cfg = baseConfig();
+    cfg.memory.wordBytes = 2;
+    cfg.layout.enabled = true;
+    cfg.energy.enabled = true;
+    return cfg;
+}
+
+} // namespace
+
+TEST(SimulatorTraces, DramRunTracesDescribeTheReportedRun)
+{
+    SimConfig cfg = tracedConfig();
+    cfg.dram.enabled = true;
+    expectTracesDescribeRun(cfg, true);
+}
+
+TEST(SimulatorTraces, BandwidthRunTracesDescribeTheReportedRun)
+{
+    expectTracesDescribeRun(tracedConfig(), true);
+}
+
+TEST(SimulatorTraces, AnalyticalRunWritesTheSameTraces)
+{
+    // The demand pass runs for the trace writer alone; the analytical
+    // results are unchanged. Its fold-cache counters count that pass,
+    // so the stats dump is left out.
+    SimConfig cfg = tracedConfig();
+    cfg.mode = SimMode::Analytical;
+    cfg.dram.enabled = true;
+    expectTracesDescribeRun(cfg, false);
+}
+
+TEST(SimulatorTraces, SparseOsLayerWritesNoSramRows)
+{
+    SimConfig cfg = tracedConfig();
+    cfg.dataflow = Dataflow::OutputStationary;
+    cfg.sparsity.enabled = true;
+    Topology topo;
+    topo.name = "sparse";
+    topo.layers.push_back(LayerSpec::gemm("sparse", 16, 32, 64));
+    topo.layers[0].sparseN = 2;
+    topo.layers[0].sparseM = 4;
+    std::ostringstream ifmap;
+    Simulator sim(cfg);
+    sim.attachTraces({&ifmap, nullptr, nullptr, nullptr});
+    const RunResult run = sim.run(topo);
+    ASSERT_TRUE(run.layers[0].sparse.has_value());
+    EXPECT_TRUE(ifmap.str().empty());
+    EXPECT_FALSE(sim.tracingMemory()->records().empty());
 }

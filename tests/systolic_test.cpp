@@ -522,6 +522,18 @@ TEST(TraceIo, TracingMemoryRecordsEverything)
     EXPECT_EQ(tracer.stats().readWords, 32u);
     // The inner memory saw the traffic too.
     EXPECT_EQ(inner.stats().readWords, 32u);
+
+    // Transparent: a read queued behind the bus reports the inner
+    // model's wait and read-latency split, which the scratchpad's CPI
+    // apportionment reads.
+    tracer.issueRead(300, 64, 9);
+    EXPECT_GT(inner.lastIssueWait(), 0u);
+    EXPECT_EQ(tracer.lastIssueWait(), inner.lastIssueWait());
+    EXPECT_GT(inner.stats().readQueueWait, 0u);
+    EXPECT_EQ(tracer.stats().readQueueWait, inner.stats().readQueueWait);
+    EXPECT_EQ(tracer.stats().readService, inner.stats().readService);
+    EXPECT_EQ(tracer.stats().totalReadLatency,
+              inner.stats().totalReadLatency);
 }
 
 TEST(TraceIo, MemTraceFileRoundTrip)
