@@ -48,6 +48,7 @@ int
 main(int argc, char** argv)
 {
     serve::Server::Options options;
+    std::string base_path;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto next = [&]() -> std::string {
@@ -58,7 +59,7 @@ main(int argc, char** argv)
             return argv[++i];
         };
         if (arg == "-c") {
-            options.baseConfig = IniFile::load(next());
+            base_path = next();
         } else if (arg == "--cache-file") {
             options.cacheFile = next();
         } else if (arg == "--cache-budget-mb") {
@@ -74,6 +75,11 @@ main(int argc, char** argv)
         }
     }
     try {
+        if (!base_path.empty()) {
+            options.baseConfig = IniFile::load(base_path);
+            // A bad base config fails here, not on every request.
+            (void)SimConfig::fromIni(options.baseConfig);
+        }
         serve::Server server(std::move(options));
         return server.serve(std::cin, std::cout);
     } catch (const FatalError& e) {

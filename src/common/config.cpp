@@ -6,7 +6,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
+#include <stdexcept>
+#include <type_traits>
 
 #include "common/csv.hpp"
 #include "common/log.hpp"
@@ -30,6 +33,18 @@ canonical(std::string_view text)
             std::tolower(static_cast<unsigned char>(c))));
     }
     return out;
+}
+
+/** Is `text` one of the '|'-separated `spellings`, canonically? */
+bool
+spelledAs(const char* spellings, const std::string& text)
+{
+    std::istringstream list(spellings);
+    for (std::string one; std::getline(list, one, '|');) {
+        if (canonical(one) == canonical(text))
+            return true;
+    }
+    return false;
 }
 
 } // namespace
@@ -69,8 +84,8 @@ IniFile::parseString(const std::string& text, const std::string& name)
         std::string value = trim(trimmed.substr(eq + 1));
         if (key.empty())
             fatal("%s:%d: empty key", name.c_str(), line_no);
-        ini.sections_[canonical(section)][canonical(key)] =
-            Entry{value, line_no};
+        Entry& entry = ini.sections_[canonical(section)][canonical(key)];
+        entry = Entry{std::move(value), line_no, section, std::move(key)};
     }
     return ini;
 }
@@ -90,7 +105,17 @@ void
 IniFile::set(std::string_view section, std::string_view key,
              const std::string& value)
 {
-    sections_[canonical(section)][canonical(key)] = Entry{value, 0};
+    sections_[canonical(section)][canonical(key)] =
+        Entry{value, 0, std::string(section), std::string(key)};
+}
+
+std::size_t
+IniFile::size() const
+{
+    std::size_t entries = 0;
+    for (const auto& [section, keys] : sections_)
+        entries += keys.size();
+    return entries;
 }
 
 const IniFile::Entry*
@@ -103,14 +128,38 @@ IniFile::find(std::string_view section, std::string_view key) const
     return it == sec->second.end() ? nullptr : &it->second;
 }
 
+std::string
+IniFile::where(const Entry& entry) const
+{
+    return entry.line > 0 ? format("%s:%d", name_.c_str(), entry.line)
+                          : name_ + " (overlay)";
+}
+
 void
 IniFile::badValue(std::string_view section, std::string_view key,
-                  const Entry& entry, const char* what) const
+                  const std::string& what) const
 {
-    fatal("%s:%d: %.*s.%.*s: '%s' %s", name_.c_str(), entry.line,
+    const Entry& entry = *find(section, key);
+    fatal("%s: %.*s.%.*s: '%s' %s", where(entry).c_str(),
           static_cast<int>(section.size()), section.data(),
-          static_cast<int>(key.size()), key.data(),
-          entry.value.c_str(), what);
+          static_cast<int>(key.size()), key.data(), entry.value.c_str(),
+          what.c_str());
+}
+
+void
+IniFile::rejectUnknown(
+    const std::vector<std::pair<const char*, const char*>>& known) const
+{
+    std::set<std::pair<std::string, std::string>> names;
+    for (const auto& [section, key] : known)
+        names.emplace(canonical(section), canonical(key));
+    for (const auto& [section, keys] : sections_) {
+        for (const auto& [key, entry] : keys) {
+            if (!names.count({section, key}))
+                fatal("%s: %s.%s: unknown config key", where(entry).c_str(),
+                      entry.section.c_str(), entry.key.c_str());
+        }
+    }
 }
 
 bool
@@ -119,91 +168,63 @@ IniFile::has(std::string_view section, std::string_view key) const
     return find(section, key) != nullptr;
 }
 
-std::string
-IniFile::getString(std::string_view section, std::string_view key,
-                   const std::string& fallback) const
-{
-    const Entry* entry = find(section, key);
-    return entry ? entry->value : fallback;
-}
-
-std::int64_t
-IniFile::getInt(std::string_view section, std::string_view key,
-                std::int64_t fallback) const
-{
-    const Entry* entry = find(section, key);
-    if (!entry || entry->value.empty())
-        return fallback;
-    const std::string& raw = entry->value;
-    char* end = nullptr;
-    errno = 0;
-    std::int64_t value = std::strtoll(raw.c_str(), &end, 0);
-    if (end == raw.c_str() || *end != '\0')
-        badValue(section, key, *entry, "is not an integer");
-    if (errno == ERANGE)
-        badValue(section, key, *entry, "overflows a 64-bit integer");
-    return value;
-}
-
-std::uint64_t
-IniFile::getUint(std::string_view section, std::string_view key,
-                 std::uint64_t fallback) const
-{
-    const Entry* entry = find(section, key);
-    if (!entry || entry->value.empty())
-        return fallback;
-    std::int64_t value = getInt(section, key);
-    if (value < 0)
-        badValue(section, key, *entry, "must not be negative");
-    return static_cast<std::uint64_t>(value);
-}
-
-std::uint32_t
-IniFile::getUint32(std::string_view section, std::string_view key,
-                   std::uint32_t fallback) const
-{
-    const Entry* entry = find(section, key);
-    if (!entry || entry->value.empty())
-        return fallback;
-    std::uint64_t value = getUint(section, key);
-    if (value > std::numeric_limits<std::uint32_t>::max())
-        badValue(section, key, *entry, "overflows a 32-bit integer");
-    return static_cast<std::uint32_t>(value);
-}
-
-double
-IniFile::getDouble(std::string_view section, std::string_view key,
-                   double fallback) const
-{
-    const Entry* entry = find(section, key);
-    if (!entry || entry->value.empty())
-        return fallback;
-    double value = 0.0;
-    switch (parseDouble(entry->value, value)) {
-      case NumberParse::Ok:
-        break;
-      case NumberParse::Bad:
-        badValue(section, key, *entry, "is not a number");
-      case NumberParse::OutOfRange:
-        badValue(section, key, *entry, "is out of double range");
-    }
-    return value;
-}
-
+template <typename T>
 bool
-IniFile::getBool(std::string_view section, std::string_view key,
-                 bool fallback) const
+IniFile::read(std::string_view section, std::string_view key,
+              T& value) const
 {
     const Entry* entry = find(section, key);
-    if (!entry || entry->value.empty())
-        return fallback;
-    std::string raw = canonical(entry->value);
-    if (raw == "true" || raw == "1" || raw == "yes" || raw == "on")
-        return true;
-    if (raw == "false" || raw == "0" || raw == "no" || raw == "off")
+    if (!entry)
         return false;
-    badValue(section, key, *entry, "is not a boolean");
+    const std::string& raw = entry->value;
+    if constexpr (std::is_same_v<T, std::string>) {
+        value = raw;
+    } else if (raw.empty()) {
+        return true;
+    } else if constexpr (std::is_same_v<T, bool>) {
+        const std::string c = canonical(raw);
+        const bool on = c == "true" || c == "1" || c == "yes" || c == "on";
+        if (!on && c != "false" && c != "0" && c != "no" && c != "off")
+            badValue(section, key, "is not a boolean");
+        value = on;
+    } else if constexpr (std::is_same_v<T, double>) {
+        switch (parseDouble(raw, value)) {
+          case NumberParse::Ok:
+            break;
+          case NumberParse::Bad:
+            badValue(section, key, "is not a number");
+          case NumberParse::OutOfRange:
+            badValue(section, key, "is out of double range");
+        }
+    } else {
+        char* end = nullptr;
+        errno = 0;
+        const std::int64_t parsed = std::strtoll(raw.c_str(), &end, 0);
+        if (end == raw.c_str() || *end != '\0')
+            badValue(section, key, "is not an integer");
+        if (errno == ERANGE)
+            badValue(section, key, "overflows a 64-bit integer");
+        constexpr int digits = std::numeric_limits<T>::digits;
+        if (std::is_unsigned_v<T> && parsed < 0)
+            badValue(section, key, "must not be negative");
+        if constexpr (digits < 63) {
+            if (parsed >> digits != 0)
+                badValue(section, key,
+                         format("overflows a %d-bit integer", digits));
+        }
+        value = static_cast<T>(parsed);
+    }
+    return true;
 }
+
+// read() serves these types: every SimConfig field type and int64.
+using Key = std::string_view;
+template bool IniFile::read(Key, Key, bool&) const;
+template bool IniFile::read(Key, Key, std::int64_t&) const;
+template bool IniFile::read(Key, Key, std::uint32_t&) const;
+template bool IniFile::read(Key, Key, std::uint64_t&) const;
+template bool IniFile::read(Key, Key, double&) const;
+template bool IniFile::read(Key, Key, std::string&) const;
 
 std::string
 toString(SparseRep rep)
@@ -233,138 +254,78 @@ sparseRepFromString(std::string_view text)
                                 + std::string(text));
 }
 
+SimMode
+simModeFromString(std::string_view text)
+{
+    const std::string c = canonical(text);
+    if (c == "trace")
+        return SimMode::Trace;
+    if (c == "analytical")
+        return SimMode::Analytical;
+    throw std::invalid_argument("unknown mode: " + std::string(text));
+}
+
 SimConfig
 SimConfig::fromIni(const IniFile& ini)
 {
     SimConfig cfg;
-    cfg.runName = ini.getString("general", "run_name", cfg.runName);
-
-    cfg.arrayRows = ini.getUint32("architecture", "ArrayHeight",
-                                  cfg.arrayRows);
-    cfg.arrayCols = ini.getUint32("architecture", "ArrayWidth",
-                                  cfg.arrayCols);
-    if (cfg.arrayRows == 0 || cfg.arrayCols == 0)
-        fatal("array dimensions must be non-zero");
-
-    cfg.dataflow = dataflowFromString(
-        ini.getString("architecture", "Dataflow", "os"));
-    std::string mode = ini.getString("general", "mode", "trace");
-    cfg.mode = canonical(mode) == "analytical" ? SimMode::Analytical
-                                               : SimMode::Trace;
-    cfg.audit = ini.getBool("general", "Audit", cfg.audit);
-    cfg.intervalCycles = ini.getUint("general", "IntervalCycles",
-                                     cfg.intervalCycles);
-
-    cfg.memory.ifmapSramKb = ini.getUint(
-        "architecture", "IfmapSramSzkB", cfg.memory.ifmapSramKb);
-    cfg.memory.filterSramKb = ini.getUint(
-        "architecture", "FilterSramSzkB", cfg.memory.filterSramKb);
-    cfg.memory.ofmapSramKb = ini.getUint(
-        "architecture", "OfmapSramSzkB", cfg.memory.ofmapSramKb);
-    cfg.memory.ifmapOffset = ini.getUint(
-        "architecture", "IfmapOffset", cfg.memory.ifmapOffset);
-    cfg.memory.filterOffset = ini.getUint(
-        "architecture", "FilterOffset", cfg.memory.filterOffset);
-    cfg.memory.ofmapOffset = ini.getUint(
-        "architecture", "OfmapOffset", cfg.memory.ofmapOffset);
-    cfg.memory.wordBytes = ini.getUint32(
-        "architecture", "WordBytes", cfg.memory.wordBytes);
-    cfg.memory.bandwidthWordsPerCycle = ini.getDouble(
-        "architecture", "Bandwidth", cfg.memory.bandwidthWordsPerCycle);
-    cfg.memory.burstWords = ini.getUint32(
-        "architecture", "BurstWords", cfg.memory.burstWords);
-    cfg.memory.issuePerCycle = ini.getUint32(
-        "architecture", "IssuePerCycle", cfg.memory.issuePerCycle);
-    cfg.memory.prefetchDepth = ini.getUint32(
-        "architecture", "PrefetchDepth", cfg.memory.prefetchDepth);
-    cfg.memory.im2colAddressing = ini.getBool(
-        "architecture", "Im2colAddressing",
-        cfg.memory.im2colAddressing);
-    cfg.memory.recordFoldSpans = ini.getBool(
-        "architecture", "RecordFoldSpans",
-        cfg.memory.recordFoldSpans);
-    cfg.foldCache = ini.getBool("architecture", "FoldCache",
-                                cfg.foldCache);
-    cfg.simdLanes = ini.getUint32("architecture", "SimdLanes",
-                                  cfg.simdLanes);
-    cfg.simdLatencyPerOp = ini.getUint32(
-        "architecture", "SimdLatency", cfg.simdLatencyPerOp);
-
-    cfg.sparsity.enabled = ini.getBool("sparsity", "SparsitySupport",
-                                       cfg.sparsity.enabled);
-    cfg.sparsity.optimizedMapping = ini.getBool(
-        "sparsity", "OptimizedMapping", cfg.sparsity.optimizedMapping);
-    if (ini.has("sparsity", "SparseRep")) {
-        cfg.sparsity.rep = sparseRepFromString(
-            ini.getString("sparsity", "SparseRep"));
+    std::size_t named = 0;
+    walkConfigFields(cfg, [&](const ConfigField& f, auto& value) {
+        using T = std::decay_t<decltype(value)>;
+        const auto misspelled = [&] {
+            ini.badValue(f.section, f.key,
+                         format("is not one of %s", f.spellings));
+        };
+        if constexpr (!std::is_enum_v<T>) {
+            if (!ini.read(f.section, f.key, value))
+                return;
+            ++named;
+            if constexpr (std::is_same_v<T, std::string>) {
+                if (f.spellings && !spelledAs(f.spellings, value))
+                    misspelled();
+            }
+        } else {
+            std::string text;
+            if (!ini.read(f.section, f.key, text))
+                return;
+            ++named;
+            if (text.empty())
+                return;
+            try {
+                if constexpr (std::is_same_v<T, Dataflow>)
+                    value = dataflowFromString(text);
+                else if constexpr (std::is_same_v<T, SparseRep>)
+                    value = sparseRepFromString(text);
+                else
+                    value = simModeFromString(text);
+            } catch (const std::invalid_argument&) {
+                misspelled();
+            }
+        }
+    });
+    // Table keys are distinct, so fewer hits than entries means the
+    // file holds an entry the table does not name.
+    if (named != ini.size()) {
+        std::vector<std::pair<const char*, const char*>> known;
+        walkConfigFields(cfg, [&](const ConfigField& f, const auto&) {
+            known.emplace_back(f.section, f.key);
+        });
+        ini.rejectUnknown(known);
     }
-    cfg.sparsity.blockSize = ini.getUint32(
-        "sparsity", "BlockSize", cfg.sparsity.blockSize);
-    cfg.sparsity.seed = ini.getUint("sparsity", "Seed",
-                                    cfg.sparsity.seed);
-
-    cfg.dram.enabled = ini.getBool("memory", "DramModel",
-                                   cfg.dram.enabled);
-    cfg.dram.tech = ini.getString("memory", "Tech", cfg.dram.tech);
-    cfg.dram.channels = ini.getUint32("memory", "Channels",
-                                      cfg.dram.channels);
-    cfg.dram.ranksPerChannel = ini.getUint32(
-        "memory", "Ranks", cfg.dram.ranksPerChannel);
-    cfg.dram.readQueueSize = ini.getUint32(
-        "memory", "ReadQueueSize", cfg.dram.readQueueSize);
-    cfg.dram.writeQueueSize = ini.getUint32(
-        "memory", "WriteQueueSize", cfg.dram.writeQueueSize);
-    cfg.dram.coreClockMhz = ini.getDouble("memory", "CoreClockMhz",
-                                          cfg.dram.coreClockMhz);
-
-    cfg.multicore.engine = ini.getString("multicore", "Engine",
-                                         cfg.multicore.engine);
-    cfg.multicore.jobs = ini.getUint32("multicore", "Jobs",
-                                       cfg.multicore.jobs);
-
-    cfg.layout.enabled = ini.getBool("layout", "LayoutModel",
-                                     cfg.layout.enabled);
-    cfg.layout.banks = ini.getUint32("layout", "Banks",
-                                     cfg.layout.banks);
-    cfg.layout.portsPerBank = ini.getUint32(
-        "layout", "PortsPerBank", cfg.layout.portsPerBank);
-    cfg.layout.onChipBandwidth = ini.getUint32(
-        "layout", "OnChipBandwidth", cfg.layout.onChipBandwidth);
-
-    cfg.energy.enabled = ini.getBool("energy", "EnergyModel",
-                                     cfg.energy.enabled);
-    cfg.energy.rowSize = ini.getUint32("energy", "RowSize",
-                                       cfg.energy.rowSize);
-    cfg.energy.bankSize = ini.getUint32("energy", "BankSize",
-                                        cfg.energy.bankSize);
-    cfg.energy.frequencyGhz = ini.getDouble("energy", "FrequencyGhz",
-                                            cfg.energy.frequencyGhz);
-    cfg.energy.node = ini.getString("energy", "Node", cfg.energy.node);
     return cfg;
 }
 
 void
 SimConfig::validate() const
 {
-    if (arrayRows == 0 || arrayCols == 0)
-        fatal("array dimensions must be non-zero (%ux%u)", arrayRows,
-              arrayCols);
-    if (simdLanes == 0)
-        fatal("SimdLanes must be non-zero");
-    if (memory.wordBytes == 0)
-        fatal("WordBytes must be non-zero");
-    if (memory.burstWords == 0)
-        fatal("BurstWords must be non-zero");
-    if (memory.issuePerCycle == 0)
-        fatal("IssuePerCycle must be non-zero");
-    if (memory.prefetchDepth == 0)
-        fatal("PrefetchDepth must be non-zero");
-    if (memory.bandwidthWordsPerCycle <= 0.0)
-        fatal("Bandwidth must be positive");
-    if (memory.ifmapSramKb == 0 || memory.filterSramKb == 0
-        || memory.ofmapSramKb == 0) {
-        fatal("SRAM sizes must be non-zero");
-    }
+    walkConfigFields(*this, [](const ConfigField& f, const auto& value) {
+        if constexpr (std::is_arithmetic_v<
+                          std::decay_t<decltype(value)>>) {
+            if (f.positive && (!f.gate || *f.gate) && !(value > 0))
+                fatal("[%s] %s must be positive (got %g)", f.section,
+                      f.key, static_cast<double>(value));
+        }
+    });
     // Operand regions must not overlap (addresses are word-granular
     // and region extents are workload-dependent, so require distinct,
     // ordered bases with generous gaps).
@@ -376,30 +337,11 @@ SimConfig::validate() const
     if (sparsity.optimizedMapping && sparsity.blockSize < 2)
         fatal("row-wise sparsity needs BlockSize >= 2 (got %u)",
               sparsity.blockSize);
-    if (dram.enabled) {
-        if (dram.channels == 0)
-            fatal("DRAM needs at least one channel");
-        if (dram.readQueueSize == 0 || dram.writeQueueSize == 0)
-            fatal("request queues must be non-empty");
-        if (dram.coreClockMhz <= 0.0)
-            fatal("CoreClockMhz must be positive");
-    }
+    // fromIni checks the spelling; this catches configs built in code.
     if (canonical(multicore.engine) != "serial"
         && canonical(multicore.engine) != "epoch") {
         fatal("[multicore] Engine must be serial or epoch (got '%s')",
               multicore.engine.c_str());
-    }
-    if (layout.enabled) {
-        if (layout.banks == 0 || layout.portsPerBank == 0)
-            fatal("layout model needs non-zero banks and ports");
-        if (layout.onChipBandwidth == 0)
-            fatal("OnChipBandwidth must be non-zero");
-    }
-    if (energy.enabled) {
-        if (energy.rowSize == 0 || energy.bankSize == 0)
-            fatal("energy RowSize/BankSize must be non-zero");
-        if (energy.frequencyGhz <= 0.0)
-            fatal("FrequencyGhz must be positive");
     }
 }
 

@@ -13,6 +13,8 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -21,9 +23,10 @@ namespace scalesim
 
 /**
  * Minimal INI file: [section] headers, key = value pairs, '#'/';'
- * comments. Section and key lookups are case-insensitive. Every entry
- * remembers its source line, so typed getters report malformed values
- * as `file:line: section.key: ...` instead of silently truncating.
+ * comments. Section and key lookups ignore case, blanks and
+ * underscores. Every entry remembers its source line, so read()
+ * reports malformed values as `file:line: section.key: ...` instead of
+ * silently truncating.
  */
 class IniFile
 {
@@ -37,41 +40,54 @@ class IniFile
 
     bool has(std::string_view section, std::string_view key) const;
 
-    std::string getString(std::string_view section, std::string_view key,
-                          const std::string& fallback = "") const;
-    /** Parse as integer; trailing garbage and overflow are fatal(). */
-    std::int64_t getInt(std::string_view section, std::string_view key,
-                        std::int64_t fallback = 0) const;
-    /** getInt that additionally rejects negative values. */
-    std::uint64_t getUint(std::string_view section, std::string_view key,
-                          std::uint64_t fallback = 0) const;
-    /** getUint bounded to 32 bits (array dims, queue sizes, ...). */
-    std::uint32_t getUint32(std::string_view section,
-                            std::string_view key,
-                            std::uint32_t fallback = 0) const;
-    double getDouble(std::string_view section, std::string_view key,
-                     double fallback = 0.0) const;
-    bool getBool(std::string_view section, std::string_view key,
-                 bool fallback = false) const;
+    /**
+     * Parse `section.key` into `value` and return true when present.
+     * T is bool, std::int64_t, std::uint32_t, std::uint64_t, double or
+     * std::string. An empty value keeps `value` unless T is a string.
+     * Trailing garbage, negative unsigned values and overflow of T are
+     * fatal(), naming file:line.
+     */
+    template <typename T>
+    bool read(std::string_view section, std::string_view key,
+              T& value) const;
+
+    /** read() as a value: `fallback` when absent or empty. */
+    template <typename T>
+    T
+    get(std::string_view section, std::string_view key,
+        T fallback = T{}) const
+    {
+        read(section, key, fallback);
+        return fallback;
+    }
 
     void set(std::string_view section, std::string_view key,
              const std::string& value);
 
-    /** Source label used in error messages (path or "<string>"). */
-    const std::string& source() const { return name_; }
+    /** fatal() on a present entry: `file:line: section.key: 'value' what`. */
+    [[noreturn]] void badValue(std::string_view section,
+                               std::string_view key,
+                               const std::string& what) const;
+
+    /** Number of key = value entries across all sections. */
+    std::size_t size() const;
+
+    /** fatal(), naming file:line, on an entry `known` does not name. */
+    void rejectUnknown(
+        const std::vector<std::pair<const char*, const char*>>& known)
+        const;
 
   private:
     struct Entry
     {
         std::string value;
         int line = 0; ///< 0 when set programmatically
+        std::string section, key; ///< as written, for messages
     };
 
     const Entry* find(std::string_view section,
                       std::string_view key) const;
-    [[noreturn]] void badValue(std::string_view section,
-                               std::string_view key, const Entry& entry,
-                               const char* what) const;
+    std::string where(const Entry& entry) const;
 
     std::string name_ = "<string>";
     // canonical(section) -> canonical(key) -> entry
@@ -86,6 +102,9 @@ enum class SimMode
     /** Fold-by-fold per-cycle demand streaming (stall-accurate). */
     Trace,
 };
+
+/** Parse "trace"/"analytical"; throws std::invalid_argument otherwise. */
+SimMode simModeFromString(std::string_view text);
 
 /** Double-buffered on-chip SRAM sizes and operand address regions. */
 struct MemoryConfig
@@ -266,13 +285,16 @@ struct SimConfig
     }
 
     /**
-     * Check the configuration for inconsistencies (zero dimensions,
-     * empty queues, bad clocks, ...); fatal() with a precise message
-     * on the first violation.
+     * Check the positive fields of walkConfigFields (zero dimensions,
+     * empty queues, bad clocks, ...) and the cross-field rules;
+     * fatal() with a precise message on the first violation.
      */
     void validate() const;
 
-    /** Build a typed config from a parsed INI file. */
+    /**
+     * Build a typed config from a parsed INI file; an entry that
+     * walkConfigFields does not name, or a bad value, is fatal().
+     */
     static SimConfig fromIni(const IniFile& ini);
 
     /** Load from a .cfg path. */
@@ -284,6 +306,102 @@ struct SimConfig
     /** Google-TPU-like preset used by the paper's memory study (§V-C). */
     static SimConfig tpuMemoryStudy();
 };
+
+/** One SimConfig field as walkConfigFields describes it. */
+struct ConfigField
+{
+    const char* section;
+    const char* key;
+    /** Mixed into serve::layerCacheKey: it changes a layer's numbers. */
+    bool cacheKey;
+    /** validate() requires the value > 0 ... */
+    bool positive = false;
+    /** ... while this enable flag is set (nullptr: always). */
+    const bool* gate = nullptr;
+    /** Accepted spellings of an enumerated field, e.g. "os|ws|is". */
+    const char* spellings = nullptr;
+};
+
+/**
+ * The one description of every SimConfig field, walked by
+ * SimConfig::fromIni, SimConfig::validate and serve::layerCacheKey:
+ * `field(entry, member)` per field, `member` referring into `cfg`.
+ * Cache-key fields come in layerCacheKey's hashing order, so moving
+ * one changes every cache digest.
+ */
+template <typename Config, typename Visit>
+void
+walkConfigFields(Config& cfg, Visit&& field)
+{
+    constexpr bool key = true;
+    constexpr bool cosmetic = false;
+    constexpr bool positive = true;
+    const char* gen = "general";
+    const char* arch = "architecture";
+    auto& mem = cfg.memory;
+    auto& sp = cfg.sparsity;
+    auto& dr = cfg.dram;
+    auto& lay = cfg.layout;
+    auto& en = cfg.energy;
+    const bool* dram_on = &dr.enabled;
+    const bool* layout_on = &lay.enabled;
+    const bool* energy_on = &en.enabled;
+
+    field({gen, "run_name", cosmetic}, cfg.runName);
+    field({gen, "Audit", cosmetic}, cfg.audit);
+    field({gen, "IntervalCycles", cosmetic}, cfg.intervalCycles);
+    field({arch, "ArrayHeight", key, positive}, cfg.arrayRows);
+    field({arch, "ArrayWidth", key, positive}, cfg.arrayCols);
+    field({arch, "Dataflow", key, {}, {}, "os|ws|is"}, cfg.dataflow);
+    field({gen, "mode", key, {}, {}, "trace|analytical"}, cfg.mode);
+    field({arch, "FoldCache", key}, cfg.foldCache);
+    field({arch, "SimdLanes", key, positive}, cfg.simdLanes);
+    field({arch, "SimdLatency", key}, cfg.simdLatencyPerOp);
+    field({arch, "IfmapSramSzkB", key, positive}, mem.ifmapSramKb);
+    field({arch, "FilterSramSzkB", key, positive}, mem.filterSramKb);
+    field({arch, "OfmapSramSzkB", key, positive}, mem.ofmapSramKb);
+    field({arch, "IfmapOffset", key}, mem.ifmapOffset);
+    field({arch, "FilterOffset", key}, mem.filterOffset);
+    field({arch, "OfmapOffset", key}, mem.ofmapOffset);
+    field({arch, "WordBytes", key, positive}, mem.wordBytes);
+    field({arch, "Bandwidth", key, positive}, mem.bandwidthWordsPerCycle);
+    field({arch, "BurstWords", key, positive}, mem.burstWords);
+    field({arch, "IssuePerCycle", key, positive}, mem.issuePerCycle);
+    field({arch, "PrefetchDepth", key, positive}, mem.prefetchDepth);
+    field({arch, "Im2colAddressing", key}, mem.im2colAddressing);
+    field({arch, "RecordFoldSpans", cosmetic}, mem.recordFoldSpans);
+    field({"sparsity", "SparsitySupport", key}, sp.enabled);
+    field({"sparsity", "OptimizedMapping", key}, sp.optimizedMapping);
+    field({"sparsity", "SparseRep", key, {}, {},
+           "dense|csr|csc|ellpack_block"}, sp.rep);
+    field({"sparsity", "BlockSize", key}, sp.blockSize);
+    field({"sparsity", "Seed", key}, sp.seed);
+    field({"memory", "DramModel", key}, dr.enabled);
+    field({"memory", "Tech", key}, dr.tech);
+    field({"memory", "Channels", key, positive, dram_on}, dr.channels);
+    field({"memory", "Ranks", key}, dr.ranksPerChannel);
+    field({"memory", "ReadQueueSize", key, positive, dram_on},
+          dr.readQueueSize);
+    field({"memory", "WriteQueueSize", key, positive, dram_on},
+          dr.writeQueueSize);
+    field({"memory", "CoreClockMhz", key, positive, dram_on},
+          dr.coreClockMhz);
+    field({"multicore", "Engine", cosmetic, {}, {}, "serial|epoch"},
+          cfg.multicore.engine);
+    field({"multicore", "Jobs", cosmetic}, cfg.multicore.jobs);
+    field({"layout", "LayoutModel", key}, lay.enabled);
+    field({"layout", "Banks", key, positive, layout_on}, lay.banks);
+    field({"layout", "PortsPerBank", key, positive, layout_on},
+          lay.portsPerBank);
+    field({"layout", "OnChipBandwidth", key, positive, layout_on},
+          lay.onChipBandwidth);
+    field({"energy", "EnergyModel", key}, en.enabled);
+    field({"energy", "RowSize", key, positive, energy_on}, en.rowSize);
+    field({"energy", "BankSize", key, positive, energy_on}, en.bankSize);
+    field({"energy", "FrequencyGhz", key, positive, energy_on},
+          en.frequencyGhz);
+    field({"energy", "Node", key}, en.node);
+}
 
 } // namespace scalesim
 

@@ -27,6 +27,18 @@ splitSramKb(std::uint64_t totalKb)
 std::vector<DseDetailedPoint>
 runSweepDetailed(const DseSweep& sweep, const Topology& topology)
 {
+    return runSweepDetailed(sweep, [&](const SimConfig& cfg) {
+        // Worker-private Simulator/DramMemory: per-layer timeline_
+        // coupling behaves exactly as in the sequential run.
+        Simulator sim(cfg);
+        return sim.run(topology);
+    });
+}
+
+std::vector<DseDetailedPoint>
+runSweepDetailed(const DseSweep& sweep,
+                 const std::function<RunResult(const SimConfig&)>& evaluate)
+{
     if (sweep.arraySizes.empty() || sweep.dataflows.empty()
         || sweep.sramKbTotals.empty()) {
         fatal("DSE sweep has an empty axis");
@@ -58,10 +70,7 @@ runSweepDetailed(const DseSweep& sweep, const Topology& topology)
         cfg.memory.ifmapSramKb = split.ifmapKb;
         cfg.memory.filterSramKb = split.filterKb;
         cfg.memory.ofmapSramKb = split.ofmapKb;
-        // Worker-private Simulator/DramMemory: per-layer timeline_
-        // coupling behaves exactly as in the sequential run.
-        Simulator sim(cfg);
-        RunResult run = sim.run(topology);
+        RunResult run = evaluate(cfg);
         DsePoint point;
         point.array = cand.array;
         point.dataflow = cand.dataflow;

@@ -11,6 +11,7 @@
 #ifndef SCALESIM_CORE_DSE_HH
 #define SCALESIM_CORE_DSE_HH
 
+#include <functional>
 #include <iosfwd>
 #include <vector>
 
@@ -104,6 +105,11 @@ std::vector<DsePoint> runSweep(const DseSweep& sweep,
  */
 std::vector<DseDetailedPoint> runSweepDetailed(const DseSweep& sweep,
                                                const Topology& topology);
+
+/** runSweepDetailed with each point run by `evaluate` (concurrently). */
+std::vector<DseDetailedPoint> runSweepDetailed(
+    const DseSweep& sweep,
+    const std::function<RunResult(const SimConfig&)>& evaluate);
 
 /**
  * Fold every point's registry into one sweep-aggregate registry in

@@ -2,10 +2,10 @@
 
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "common/hash.hpp"
 #include "common/log.hpp"
-#include "common/parallel.hpp"
 #include "common/serialize.hpp"
 
 namespace scalesim::serve
@@ -49,54 +49,19 @@ layerCacheKey(const SimConfig& cfg, const LayerSpec& layer,
     Fnv1a h;
     h.mix(kCacheSchemaVersion);
 
-    // Config slice that affects one layer's timing/energy. runName,
-    // audit, intervalCycles, and the multicore engine selection are
-    // deliberately absent: none of them change an instance's numbers.
-    h.mix(cfg.arrayRows);
-    h.mix(cfg.arrayCols);
-    h.mix(static_cast<std::uint8_t>(cfg.dataflow));
-    h.mix(static_cast<std::uint8_t>(cfg.mode));
-    h.mix(static_cast<std::uint8_t>(cfg.foldCache));
-    h.mix(cfg.simdLanes);
-    h.mix(cfg.simdLatencyPerOp);
-
-    h.mix(cfg.memory.ifmapSramKb);
-    h.mix(cfg.memory.filterSramKb);
-    h.mix(cfg.memory.ofmapSramKb);
-    h.mix(cfg.memory.ifmapOffset);
-    h.mix(cfg.memory.filterOffset);
-    h.mix(cfg.memory.ofmapOffset);
-    h.mix(cfg.memory.wordBytes);
-    h.mix(cfg.memory.bandwidthWordsPerCycle);
-    h.mix(cfg.memory.burstWords);
-    h.mix(cfg.memory.issuePerCycle);
-    h.mix(cfg.memory.prefetchDepth);
-    h.mix(static_cast<std::uint8_t>(cfg.memory.im2colAddressing));
-
-    h.mix(static_cast<std::uint8_t>(cfg.sparsity.enabled));
-    h.mix(static_cast<std::uint8_t>(cfg.sparsity.optimizedMapping));
-    h.mix(static_cast<std::uint8_t>(cfg.sparsity.rep));
-    h.mix(cfg.sparsity.blockSize);
-    h.mix(cfg.sparsity.seed);
-
-    h.mix(static_cast<std::uint8_t>(cfg.dram.enabled));
-    h.mixString(cfg.dram.tech);
-    h.mix(cfg.dram.channels);
-    h.mix(cfg.dram.ranksPerChannel);
-    h.mix(cfg.dram.readQueueSize);
-    h.mix(cfg.dram.writeQueueSize);
-    h.mix(cfg.dram.coreClockMhz);
-
-    h.mix(static_cast<std::uint8_t>(cfg.layout.enabled));
-    h.mix(cfg.layout.banks);
-    h.mix(cfg.layout.portsPerBank);
-    h.mix(cfg.layout.onChipBandwidth);
-
-    h.mix(static_cast<std::uint8_t>(cfg.energy.enabled));
-    h.mix(cfg.energy.rowSize);
-    h.mix(cfg.energy.bankSize);
-    h.mix(cfg.energy.frequencyGhz);
-    h.mixString(cfg.energy.node);
+    // Config slice: the fields walkConfigFields marks as cache-key
+    // fields, each at its declared width (enums as one byte).
+    walkConfigFields(cfg, [&h](const ConfigField& f, const auto& value) {
+        using T = std::decay_t<decltype(value)>;
+        if (!f.cacheKey)
+            return;
+        if constexpr (std::is_same_v<T, std::string>)
+            h.mixString(value);
+        else if constexpr (std::is_enum_v<T>)
+            h.mix(static_cast<std::uint8_t>(value));
+        else
+            h.mix(value);
+    });
 
     mixLayer(h, layer);
 
@@ -327,65 +292,11 @@ std::vector<core::DseDetailedPoint>
 runSweepCachedDetailed(const core::DseSweep& sweep,
                        const Topology& topology, LayerResultCache* cache)
 {
-    if (sweep.arraySizes.empty() || sweep.dataflows.empty()
-        || sweep.sramKbTotals.empty()) {
-        fatal("DSE sweep has an empty axis");
-    }
-    struct Candidate
-    {
-        std::uint32_t array;
-        Dataflow dataflow;
-        std::uint64_t sramKb;
-    };
-    std::vector<Candidate> candidates;
-    candidates.reserve(sweep.arraySizes.size() * sweep.dataflows.size()
-                       * sweep.sramKbTotals.size());
-    for (std::uint32_t array : sweep.arraySizes)
-        for (Dataflow df : sweep.dataflows)
-            for (std::uint64_t sram_kb : sweep.sramKbTotals)
-                candidates.push_back({array, df, sram_kb});
-
-    std::vector<core::DseDetailedPoint> points(candidates.size());
-    // Worker-shared state is exactly {candidates (read-only), points
-    // (written by-index, pre-sized), cache (internally locked — its
-    // methods are SIM_EXCLUDES-annotated, see cache.hpp)}; everything
-    // else below is constructed per-iteration, which is what makes the
-    // parallel sweep bit-identical to the sequential one.
-    parallelFor(candidates.size(), sweep.jobs, [&](std::uint64_t i) {
-        const Candidate& cand = candidates[i];
-        SimConfig cfg = sweep.base;
-        cfg.arrayRows = cfg.arrayCols = cand.array;
-        cfg.dataflow = cand.dataflow;
-        cfg.energy.enabled = true;
-        const core::SramSplit split = core::splitSramKb(cand.sramKb);
-        cfg.memory.ifmapSramKb = split.ifmapKb;
-        cfg.memory.filterSramKb = split.filterKb;
-        cfg.memory.ofmapSramKb = split.ofmapKb;
-        core::RunResult run = runTopologyCached(cfg, topology, cache);
-        core::DsePoint point;
-        point.array = cand.array;
-        point.dataflow = cand.dataflow;
-        point.sramKb = cand.sramKb;
-        point.cycles = run.totalCycles;
-        point.energyMj = run.totalEnergy.totalMj();
-        point.edp = run.edp;
-        points[i].point = point;
-        points[i].stats = std::move(run.stats);
+    // Workers share only the cache, which locks internally (its
+    // methods are SIM_EXCLUDES-annotated, see cache.hpp).
+    return core::runSweepDetailed(sweep, [&](const SimConfig& cfg) {
+        return runTopologyCached(cfg, topology, cache);
     });
-    return points;
-}
-
-std::vector<core::DsePoint>
-runSweepCached(const core::DseSweep& sweep, const Topology& topology,
-               LayerResultCache* cache)
-{
-    std::vector<core::DseDetailedPoint> detailed =
-        runSweepCachedDetailed(sweep, topology, cache);
-    std::vector<core::DsePoint> points;
-    points.reserve(detailed.size());
-    for (const auto& d : detailed)
-        points.push_back(d.point);
-    return points;
 }
 
 } // namespace scalesim::serve

@@ -14,15 +14,12 @@
  * while letting warm sweeps skip simulation entirely.
  *
  * The cache key is a 64-bit FNV-1a digest over a version tag, the
- * config slice that affects per-layer timing/energy (array geometry,
- * dataflow, mode, fold cache, SIMD, all [memory]/[sparsity]/[dram]/
- * [layout]/[energy] knobs), and the canonical layer shape. runName,
- * audit, interval sampling, multicore engine choice, the layer's
- * display name, and its repetition count are deliberately excluded —
- * they never change one instance's numbers (name/repetitions are
- * patched onto the cached result at hit time). The layer index joins
- * the key only when sparsity is enabled, because SparseLayerModel
- * seeds its per-row pattern with the layer position.
+ * config fields that walkConfigFields (common/config.hpp) marks as
+ * cache-key fields, and the canonical layer shape. The layer's display
+ * name and repetition count are excluded (they are patched onto the
+ * cached result at hit time). The layer index joins the key only when
+ * sparsity is enabled, because SparseLayerModel seeds its per-row
+ * pattern with the layer position.
  *
  * Byte-identity contract: for a fixed config and topology, the runner
  * produces bit-identical RunResults (stats dumps included) whether
@@ -66,11 +63,6 @@ std::vector<core::DseDetailedPoint>
 runSweepCachedDetailed(const core::DseSweep& sweep,
                        const Topology& topology,
                        LayerResultCache* cache);
-
-/** Point-only variant of runSweepCachedDetailed. */
-std::vector<core::DsePoint> runSweepCached(const core::DseSweep& sweep,
-                                           const Topology& topology,
-                                           LayerResultCache* cache);
 
 } // namespace scalesim::serve
 

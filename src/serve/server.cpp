@@ -5,6 +5,8 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/log.hpp"
 #include "common/workloads.hpp"
@@ -61,27 +63,51 @@ configFromRequest(const IniFile& base, const obs::JsonValue& req)
 }
 
 /**
- * Member `key` of a layer object as an integer field of type T, or
- * `fallback` when absent. Negative, fractional, non-finite and
- * out-of-range values are rejected before any cast (the cast would be
- * undefined), and so is zero when `nonzero`.
+ * Request number `v` (`fallback` when absent) as an integer of type T;
+ * errors name it `what`. Non-numbers, negative, fractional, non-finite
+ * and out-of-range values are rejected before any cast (the cast would
+ * be undefined), and so is zero when `nonzero`.
  */
 template <typename T>
 T
-layerField(const obs::JsonValue& v, const char* key, double fallback,
-           bool nonzero = true)
+checkedInteger(const obs::JsonValue* v, double fallback,
+               const std::string& what, bool nonzero = true)
 {
-    const double x = v.numberAt(key, fallback);
+    const double x = !v ? fallback
+        : v->kind == obs::JsonValue::Kind::Number ? v->number
+                                                  : std::nan("");
     const double limit =
         std::ldexp(1.0, std::numeric_limits<T>::digits);
     if (!(x >= (nonzero ? 1.0 : 0.0) && x < limit
           && x == std::floor(x))) {
         throw std::runtime_error(
-            format("layer field '%s' must be a%s integer below 2^%d, "
-                   "got %g", key, nonzero ? " positive" : "n unsigned",
+            format("%s must be a%s integer below 2^%d, got %g",
+                   what.c_str(), nonzero ? " positive" : "n unsigned",
                    std::numeric_limits<T>::digits, x));
     }
     return static_cast<T>(x);
+}
+
+/** Member `key` of a layer object via checkedInteger. */
+template <typename T>
+T
+layerField(const obs::JsonValue& v, const char* key, double fallback,
+           bool nonzero = true)
+{
+    return checkedInteger<T>(v.find(key), fallback,
+                             format("layer field '%s'", key), nonzero);
+}
+
+/** Sweep axis `key`'s items via checkedInteger (all nonzero). */
+template <typename T>
+std::vector<T>
+sweepAxis(const obs::JsonValue& list, const char* key)
+{
+    std::vector<T> values;
+    for (const auto& item : list.items)
+        values.push_back(checkedInteger<T>(&item, 0.0,
+                                           format("sweep axis '%s'", key)));
+    return values;
 }
 
 LayerSpec
@@ -346,29 +372,21 @@ Server::handleRequest(const std::string& line)
             // Axes may sit at the top level or under a "sweep" object.
             const obs::JsonValue* nested = req.find("sweep");
             const obs::JsonValue& axes = nested ? *nested : req;
-            sweep.jobs = static_cast<unsigned>(axes.numberAt(
-                "jobs",
-                req.numberAt(
-                    "jobs", static_cast<double>(options_.defaultJobs))));
-            if (const obs::JsonValue* arrays = axes.find("arrays")) {
-                sweep.arraySizes.clear();
-                for (const auto& a : arrays->items) {
-                    sweep.arraySizes.push_back(
-                        static_cast<std::uint32_t>(a.number));
-                }
-            }
+            const obs::JsonValue* jobs = axes.find("jobs");
+            sweep.jobs = checkedInteger<unsigned>( // 0 = auto
+                jobs ? jobs : req.find("jobs"), options_.defaultJobs,
+                "sweep field 'jobs'", /*nonzero=*/false);
+            if (const obs::JsonValue* arrays = axes.find("arrays"))
+                sweep.arraySizes = sweepAxis<std::uint32_t>(*arrays,
+                                                            "arrays");
             if (const obs::JsonValue* dfs = axes.find("dataflows")) {
                 sweep.dataflows.clear();
                 for (const auto& d : dfs->items)
                     sweep.dataflows.push_back(dataflowFromString(d.text));
             }
-            if (const obs::JsonValue* srams = axes.find("sramKb")) {
-                sweep.sramKbTotals.clear();
-                for (const auto& s : srams->items) {
-                    sweep.sramKbTotals.push_back(
-                        static_cast<std::uint64_t>(s.number));
-                }
-            }
+            if (const obs::JsonValue* srams = axes.find("sramKb"))
+                sweep.sramKbTotals = sweepAxis<std::uint64_t>(*srams,
+                                                              "sramKb");
             const Topology topo = topologyFromRequest(req);
             const bool use_cache = req.find("cache") == nullptr
                 || req.find("cache")->boolean;

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <set>
 #include <sstream>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "common/config.hpp"
 #include "common/csv.hpp"
@@ -16,6 +21,8 @@
 #include "systolic/mapping.hpp"
 #include "common/types.hpp"
 #include "common/workloads.hpp"
+
+#include "config_fields.hpp"
 
 using namespace scalesim;
 
@@ -128,13 +135,13 @@ TEST(Ini, ParseTypedValues)
         "Bandwidth = 12.5\n"
         "[sparsity]\n"
         "SparsitySupport = true\n");
-    EXPECT_EQ(ini.getString("general", "run_name"), "test_run");
-    EXPECT_EQ(ini.getInt("architecture", "arrayheight"), 16);
-    EXPECT_EQ(ini.getInt("ARCHITECTURE", "Array_Width"), 8);
-    EXPECT_DOUBLE_EQ(ini.getDouble("architecture", "Bandwidth"), 12.5);
-    EXPECT_TRUE(ini.getBool("sparsity", "SparsitySupport"));
+    EXPECT_EQ(ini.get<std::string>("general", "run_name"), "test_run");
+    EXPECT_EQ(ini.get<std::int64_t>("architecture", "arrayheight"), 16);
+    EXPECT_EQ(ini.get<std::int64_t>("ARCHITECTURE", "Array_Width"), 8);
+    EXPECT_DOUBLE_EQ(ini.get<double>("architecture", "Bandwidth"), 12.5);
+    EXPECT_TRUE(ini.get<bool>("sparsity", "SparsitySupport"));
     EXPECT_FALSE(ini.has("general", "missing"));
-    EXPECT_EQ(ini.getInt("nope", "nope", 42), 42);
+    EXPECT_EQ(ini.get<std::int64_t>("nope", "nope", 42), 42);
 }
 
 TEST(Ini, MalformedLinesAreFatal)
@@ -168,10 +175,10 @@ TEST(Ini, RejectsTrailingGarbageWithFileAndLine)
     IniFile ini = IniFile::parseString(
         "[architecture]\nArrayHeight = 32x\n", "bad.cfg");
     expectFatalContaining(
-        [&] { (void)ini.getInt("architecture", "ArrayHeight"); },
+        [&] { (void)ini.get<std::int64_t>("architecture", "ArrayHeight"); },
         "is not an integer");
     expectFatalContaining(
-        [&] { (void)ini.getInt("architecture", "ArrayHeight"); },
+        [&] { (void)ini.get<std::int64_t>("architecture", "ArrayHeight"); },
         "bad.cfg:2");
 }
 
@@ -185,16 +192,16 @@ TEST(Ini, RejectsOverflowNegativeAndBadFloats)
         "IfmapSramSzkB = 5000000000\n",
         "bad.cfg");
     expectFatalContaining(
-        [&] { (void)ini.getInt("architecture", "ArrayHeight"); },
+        [&] { (void)ini.get<std::int64_t>("architecture", "ArrayHeight"); },
         "overflows a 64-bit integer");
     expectFatalContaining(
-        [&] { (void)ini.getUint("architecture", "ArrayWidth", 1); },
+        [&] { (void)ini.get<std::uint64_t>("architecture", "ArrayWidth", 1); },
         "must not be negative");
     expectFatalContaining(
-        [&] { (void)ini.getDouble("architecture", "Bandwidth"); },
+        [&] { (void)ini.get<double>("architecture", "Bandwidth"); },
         "is out of double range");
     expectFatalContaining(
-        [&] { (void)ini.getUint32("architecture", "IfmapSramSzkB",
+        [&] { (void)ini.get<std::uint32_t>("architecture", "IfmapSramSzkB",
                                   1); },
         "overflows a 32-bit integer");
     // The same malformed values must be rejected on the fromIni path.
@@ -236,6 +243,37 @@ TEST(Topology, RejectsMalformedDimensions)
         "out of range");
 }
 
+namespace
+{
+
+/** One "[section]\nkey = value\n" line pair per config-table entry. */
+std::vector<std::string>
+iniLines(const SimConfig& cfg)
+{
+    std::vector<std::string> lines;
+    walkConfigFields(cfg, [&](const ConfigField& f, const auto& value) {
+        using T = std::decay_t<decltype(value)>;
+        std::string text;
+        if constexpr (std::is_same_v<T, bool>)
+            text = value ? "true" : "false";
+        else if constexpr (std::is_same_v<T, std::string>)
+            text = value;
+        else if constexpr (std::is_same_v<T, SimMode>)
+            text = value == SimMode::Analytical ? "analytical" : "trace";
+        else if constexpr (std::is_enum_v<T>)
+            text = toString(value);
+        else if constexpr (std::is_floating_point_v<T>)
+            text = format("%.17g", value);
+        else
+            text = std::to_string(value);
+        lines.push_back(format("[%s]\n%s = %s\n", f.section, f.key,
+                               text.c_str()));
+    });
+    return lines;
+}
+
+} // namespace
+
 TEST(SimConfig, FromIniDefaultsAndOverrides)
 {
     IniFile ini = IniFile::parseString(
@@ -264,6 +302,84 @@ TEST(SimConfig, FromIniDefaultsAndOverrides)
     EXPECT_EQ(cfg.energy.rowSize, 16u);
     EXPECT_EQ(cfg.multicore.engine, "epoch");
     EXPECT_EQ(cfg.multicore.jobs, 4u);
+
+    // Every key of the config table round-trips through INI text, with
+    // every field moved off its default.
+    const SimConfig moved =
+        configfields::perturbed(SimConfig{}, configfields::count());
+    const std::vector<std::string> lines = iniLines(moved);
+    const std::vector<std::string> defaults = iniLines(SimConfig{});
+    for (std::size_t i = 0; i < lines.size(); ++i)
+        EXPECT_NE(lines[i], defaults[i]);
+    std::string text;
+    for (const std::string& line : lines)
+        text += line;
+    EXPECT_EQ(iniLines(SimConfig::fromIni(
+                  IniFile::parseString(text, "round.cfg"))),
+              lines);
+
+    // No two entries share a key once case and underscores are gone.
+    std::set<std::string> keys;
+    walkConfigFields(moved, [&](const ConfigField& f, const auto&) {
+        std::string name = std::string(f.section) + "." + f.key;
+        std::erase(name, '_');
+        for (char& c : name)
+            c = static_cast<char>(std::tolower(c));
+        EXPECT_TRUE(keys.insert(name).second) << name;
+    });
+}
+
+TEST(SimConfig, UnknownKeysAndSectionsAreFatal)
+{
+    // Both used to load silently as the default 32x32 array.
+    const auto load = [](const char* text) {
+        return [text] {
+            (void)SimConfig::fromIni(IniFile::parseString(text, "typo.cfg"));
+        };
+    };
+    expectFatalContaining(
+        load("[architecture]\nArrayWidth = 64\nArrayHieght = 64\n"),
+        "typo.cfg:3: architecture.ArrayHieght: unknown config key");
+    expectFatalContaining(
+        load("[general]\nrun_name = x\n[archtecture]\nArrayHeight = 64\n"),
+        "typo.cfg:4: archtecture.ArrayHeight: unknown config key");
+    // Keys outside any section land in [general].
+    expectFatalContaining(load("key_without_section = 1\n"),
+                          "typo.cfg:1: general.key_without_section");
+    // Matching stays case- and underscore-insensitive.
+    const SimConfig cfg = SimConfig::fromIni(IniFile::parseString(
+        "[ARCHITECTURE]\narray_height = 8\n[General]\nRunName = y\n"));
+    EXPECT_EQ(cfg.arrayRows, 8u);
+    EXPECT_EQ(cfg.runName, "y");
+}
+
+TEST(SimConfig, BadEnumeratedValuesAreFatal)
+{
+    // Dataflow = xs used to escape as std::invalid_argument (the CLI
+    // aborted) and an unknown mode silently meant trace.
+    const auto load = [](const char* text) {
+        return [text] {
+            (void)SimConfig::fromIni(IniFile::parseString(text, "enum.cfg"));
+        };
+    };
+    expectFatalContaining(load("[architecture]\nDataflow = xs\n"),
+                          "enum.cfg:2: architecture.Dataflow: 'xs' is "
+                          "not one of os|ws|is");
+    expectFatalContaining(load("[general]\nmode = analytcal\n"),
+                          "enum.cfg:2: general.mode: 'analytcal'");
+    expectFatalContaining(load("[sparsity]\nSparseRep = coo\n"),
+                          "enum.cfg:2: sparsity.SparseRep: 'coo'");
+    expectFatalContaining(load("[multicore]\nEngine = turbo\n"),
+                          "enum.cfg:2: multicore.Engine: 'turbo'");
+    // Every spelling the parsers accept still loads.
+    const SimConfig cfg = SimConfig::fromIni(IniFile::parseString(
+        "[general]\nmode = Analytical\n"
+        "[architecture]\nDataflow = weight_stationary\n"
+        "[sparsity]\nSparseRep = csr\n[multicore]\nEngine = Epoch\n"));
+    EXPECT_EQ(cfg.mode, SimMode::Analytical);
+    EXPECT_EQ(cfg.dataflow, Dataflow::WeightStationary);
+    EXPECT_EQ(cfg.sparsity.rep, SparseRep::Csr);
+    EXPECT_EQ(cfg.multicore.engine, "Epoch");
 }
 
 TEST(SimConfig, RejectsUnknownMulticoreEngine)
@@ -426,6 +542,14 @@ TEST(DataFiles, ShippedConfigsLoad)
     const SimConfig eyeriss = SimConfig::load(dir + "eyeriss.cfg");
     EXPECT_EQ(eyeriss.arrayRows, 12u);
     EXPECT_EQ(eyeriss.arrayCols, 14u);
+
+    // The benchmark's multi-core config, read only.
+    const SimConfig mc =
+        SimConfig::load(SCALESIM_SOURCE_DIR "/perfbench/mc_8x8_ws.cfg");
+    EXPECT_EQ(mc.arrayRows, 8u);
+    EXPECT_EQ(mc.dataflow, Dataflow::WeightStationary);
+    for (const SimConfig& cfg : {example, tpu, eyeriss, mc})
+        cfg.validate();
 }
 
 TEST(DataFiles, ShippedTopologiesLoad)

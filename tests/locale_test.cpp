@@ -1,6 +1,6 @@
 /**
  * @file
- * Locale-independence regression tests. IniFile::getDouble and the
+ * Locale-independence regression tests. IniFile::get<double> and the
  * JSON reader used to parse numbers with std::strtod, which honors
  * LC_NUMERIC: under a comma-decimal locale (de_DE and friends),
  * "0.125" silently truncated to 0 and sweep configs went wrong
@@ -111,8 +111,8 @@ TEST(LocaleRegression, IniDoubleUnderCommaLocale)
     const IniFile ini = IniFile::parseString(
         "[energy]\nfrequency_ghz = 0.125\n[memory]\nscale = -2.5e-1\n");
     // strtod would have stopped at the '.' here and returned 0 / -2.
-    EXPECT_DOUBLE_EQ(ini.getDouble("energy", "frequency_ghz"), 0.125);
-    EXPECT_DOUBLE_EQ(ini.getDouble("memory", "scale"), -0.25);
+    EXPECT_DOUBLE_EQ(ini.get<double>("energy", "frequency_ghz"), 0.125);
+    EXPECT_DOUBLE_EQ(ini.get<double>("memory", "scale"), -0.25);
 }
 
 TEST(LocaleRegression, IniDoubleStillRejectsCommaValue)
@@ -124,7 +124,7 @@ TEST(LocaleRegression, IniDoubleStillRejectsCommaValue)
     // config that only works on one machine. It must stay an error.
     const IniFile ini =
         IniFile::parseString("[energy]\nfrequency_ghz = 0,125\n");
-    EXPECT_THROW(ini.getDouble("energy", "frequency_ghz"), FatalError);
+    EXPECT_THROW(ini.get<double>("energy", "frequency_ghz"), FatalError);
 }
 
 TEST(LocaleRegression, JsonNumbersUnderCommaLocale)

@@ -26,6 +26,7 @@
 #include "serve/cached_runner.hpp"
 #include "serve/server.hpp"
 
+#include "config_fields.hpp"
 #include "json_check.hpp"
 
 using namespace scalesim;
@@ -159,6 +160,19 @@ TEST(CacheKey, TimingRelevantConfigFieldsDiscriminate)
     SimConfig sram = cfg;
     sram.memory.ifmapSramKb *= 2;
     EXPECT_NE(layerCacheKey(sram, layer, 0), base_key);
+
+    // Every cache-key field of the config table, one at a time.
+    int keyed = 0;
+    for (std::size_t i = 0; i < configfields::count(); ++i) {
+        ConfigField f{};
+        const SimConfig changed = configfields::perturbed(cfg, i, &f);
+        if (!f.cacheKey)
+            continue;
+        ++keyed;
+        EXPECT_NE(layerCacheKey(changed, layer, 0), base_key)
+            << f.section << "." << f.key;
+    }
+    EXPECT_EQ(keyed, 40);
 }
 
 TEST(CacheKey, SparsityPatternDiscriminates)
@@ -200,6 +214,36 @@ TEST(CacheKey, CosmeticConfigFieldsDoNotDiscriminate)
     renamed.name = "another-name";
     renamed.repetitions = 9;
     EXPECT_EQ(layerCacheKey(cfg, renamed, 0), base_key);
+
+    // Every other field of the config table, one at a time: run name,
+    // audit, interval sampling, fold spans, multicore engine and jobs.
+    int cosmetic = 0;
+    for (std::size_t i = 0; i < configfields::count(); ++i) {
+        ConfigField f{};
+        const SimConfig changed = configfields::perturbed(cfg, i, &f);
+        if (f.cacheKey)
+            continue;
+        ++cosmetic;
+        EXPECT_EQ(layerCacheKey(changed, layer, 0), base_key)
+            << f.section << "." << f.key;
+    }
+    EXPECT_EQ(cosmetic, 6);
+}
+
+TEST(CacheKey, DigestsArePinned)
+{
+    // Persisted caches stay valid only while these digests hold:
+    // reordering or re-typing a cache-key field of the config table
+    // changes them (and must bump kCacheSchemaVersion).
+    const LayerSpec conv = smallTopology().layers[0];
+    const LayerSpec gemm = smallTopology().layers[1];
+    const SimConfig example =
+        SimConfig::load(SCALESIM_SOURCE_DIR "/configs/scale_example.cfg");
+    EXPECT_EQ(layerCacheKey(baseConfig(), conv, 0),
+              11167544436285180820ull);
+    EXPECT_EQ(layerCacheKey(baseConfig(), gemm, 1), 2936592892520982913ull);
+    EXPECT_EQ(layerCacheKey(example, conv, 0), 1160475558021508635ull);
+    EXPECT_EQ(layerCacheKey(example, gemm, 1), 4484021558725440055ull);
 }
 
 // ---------------------------------------------------------------------
@@ -545,7 +589,8 @@ TEST(ServerProtocol, InlineTopologyRunWithConfigOverlay)
 TEST(ServerProtocol, LayerNumbersOutsideTheirTypeAreRejected)
 {
     // Each of these used to reach a static_cast from double (undefined
-    // behaviour) or a zero stride; "m": -5 answered ok: true.
+    // behaviour) or a zero stride; "m": -5 answered ok: true, and a
+    // string stride silently meant 1.
     Server server({});
     const std::string gemm = R"("type": "gemm", "n": 8, "k": 8)";
     const std::string conv =
@@ -557,7 +602,8 @@ TEST(ServerProtocol, LayerNumbersOutsideTheirTypeAreRejected)
              {gemm + R"(, "m": 2.5)", "'m'"},
              {R"("type": "gemm", "m": 8, "n": 8, "k": 1e300)", "'k'"},
              {gemm + R"(, "m": 8, "repetitions": 5e9)", "'repetitions'"},
-             {conv + R"(, "stride": 0)", "'stride'"}}) {
+             {conv + R"(, "stride": 0)", "'stride'"},
+             {conv + R"(, "stride": "2")", "'stride'"}}) {
         const obs::JsonValue doc = response(
             server, R"({"type": "run", "topology": {"layers": [{)"
                         + layer + "}]}}");
@@ -565,6 +611,61 @@ TEST(ServerProtocol, LayerNumbersOutsideTheirTypeAreRejected)
         EXPECT_NE(doc.stringAt("error").find("layer field " + field),
                   std::string::npos)
             << layer << ": " << doc.stringAt("error");
+    }
+}
+
+TEST(ServerProtocol, SweepAxesOutsideTheirTypeAreRejected)
+{
+    // "arrays": [4294967312] used to answer as a 16x16 array and
+    // [16.7] as 16, both with ok: true (and an undefined cast).
+    Server server({});
+    const std::string sweep =
+        R"({"type": "sweep", "workload": "resnet18", )";
+    for (const auto& [axes, field] :
+         std::vector<std::pair<std::string, std::string>>{
+             {R"("arrays": [4294967312])", "sweep axis 'arrays'"},
+             {R"("arrays": [16.7])", "sweep axis 'arrays'"},
+             {R"("arrays": [0])", "sweep axis 'arrays'"},
+             {R"("arrays": ["16"])", "sweep axis 'arrays'"},
+             {R"("sramKb": [0])", "sweep axis 'sramKb'"},
+             {R"("sramKb": [1e300])", "sweep axis 'sramKb'"},
+             {R"("jobs": -1)", "sweep field 'jobs'"},
+             {R"("sweep": {"jobs": 2.5})", "sweep field 'jobs'"}}) {
+        const obs::JsonValue doc =
+            response(server, sweep + axes + "}");
+        EXPECT_FALSE(doc.find("ok")->boolean) << axes;
+        EXPECT_NE(doc.stringAt("error").find(field), std::string::npos)
+            << axes << ": " << doc.stringAt("error");
+    }
+    // jobs 0 means auto and stays accepted.
+    Server dry([] {
+        Server::Options options;
+        options.dryRun = true;
+        return options;
+    }());
+    const obs::JsonValue ok = response(
+        dry, sweep + R"("arrays": [16, 32], "sramKb": [512], "jobs": 0})");
+    EXPECT_TRUE(ok.find("ok")->boolean) << ok.stringAt("error");
+}
+
+TEST(ServerProtocol, UnknownConfigKeysAreRejected)
+{
+    // Each of these used to answer ok: true with the base config's
+    // numbers (or trace mode, for the misspelled mode).
+    Server server({});
+    for (const auto& [overlay, needle] :
+         std::vector<std::pair<std::string, std::string>>{
+             {R"({"architecture": {"ArrayHieght": 64}})",
+              "architecture.ArrayHieght"},
+             {R"({"archtecture": {"ArrayHeight": 64}})",
+              "archtecture.ArrayHeight"},
+             {R"({"general": {"mode": "analytic"}})", "general.mode"}}) {
+        const obs::JsonValue doc = response(
+            server, R"({"type": "run", "workload": "alexnet", "config": )"
+                        + overlay + "}");
+        EXPECT_FALSE(doc.find("ok")->boolean) << overlay;
+        EXPECT_NE(doc.stringAt("error").find(needle), std::string::npos)
+            << overlay << ": " << doc.stringAt("error");
     }
 }
 

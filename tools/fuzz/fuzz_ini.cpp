@@ -1,9 +1,10 @@
 /**
  * @file
  * libFuzzer harness for the INI config front-end: feeds arbitrary
- * bytes through IniFile::parseString and SimConfig::fromIni. Any
- * outcome other than a parsed config or a clean FatalError (crash,
- * UB caught by ASan, uncaught exception) is a finding.
+ * bytes through IniFile::parseString, SimConfig::fromIni and
+ * SimConfig::validate. Any outcome other than a valid config or a
+ * clean FatalError (crash, UB caught by ASan/UBSan, uncaught
+ * exception) is a finding.
  */
 
 #include <cstddef>
@@ -19,10 +20,9 @@ LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size)
     scalesim::setQuiet(true);
     const std::string text(reinterpret_cast<const char*>(data), size);
     try {
-        scalesim::IniFile ini;
-        ini.parseString(text, "fuzz.cfg");
-        const scalesim::SimConfig cfg = scalesim::SimConfig::fromIni(ini);
-        (void)cfg;
+        const scalesim::SimConfig cfg = scalesim::SimConfig::fromIni(
+            scalesim::IniFile::parseString(text, "fuzz.cfg"));
+        cfg.validate();
     } catch (const scalesim::FatalError&) {
         // Malformed input rejected with a clean diagnostic: expected.
     }
