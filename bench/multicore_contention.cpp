@@ -6,25 +6,16 @@
  * their divergence, the shared model's arbitration conflict count and
  * wall-clock cost into BENCH_multicore.json.
  *
- *   multicore_contention [output.json] [--jobs N] [--mc-jobs N]
+ *   multicore_contention [output.json] [--jobs N]
  *
  * Points are independent (each owns both simulators), so `--jobs N`
  * sweeps them on N threads — results are identical for every N; the
  * TSan CI job runs this with --jobs 4 to race-check the interleaved
  * engine.
- *
- * Each point's shared run is repeated on the epoch-parallel engine
- * (`--mc-jobs N` workers, default 4); the bench fails unless the epoch
- * stats dump is byte-identical to serial, and records the measured
- * parallel-vs-serial wall-clock speedup per point. The speedup is
- * meaningful only when hardwareThreads >= mcJobs — the JSON records
- * both so gates can skip enforcement on small CI boxes.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,7 +23,6 @@
 #include "bench_util.hpp"
 #include "common/log.hpp"
 #include "multicore/trace_sim.hpp"
-#include "obs/stats.hpp"
 
 using namespace scalesim;
 using namespace scalesim::multicore;
@@ -57,17 +47,8 @@ struct Outcome
     std::uint64_t arbConflicts = 0;
     std::uint64_t grants = 0;
     std::uint64_t stallOnL2 = 0;
-    Cycle epochMakespan = 0;
-    bool epochBitIdentical = false;
     double staticSeconds = 0.0;
     double sharedSeconds = 0.0;
-    double epochSeconds = 0.0;
-
-    double
-    parallelSpeedup() const
-    {
-        return epochSeconds > 0.0 ? sharedSeconds / epochSeconds : 0.0;
-    }
 
     double
     divergencePct() const
@@ -97,18 +78,8 @@ configFor(const Point& p, ContentionModel model)
     return cfg;
 }
 
-std::string
-statsDump(const MultiCoreTraceResult& result)
-{
-    scalesim::obs::StatsRegistry reg;
-    result.registerStats(reg);
-    std::ostringstream out;
-    reg.dump(out);
-    return out.str();
-}
-
 Outcome
-runPoint(const Point& p, unsigned mc_jobs)
+runPoint(const Point& p)
 {
     Outcome out;
     benchutil::Timer t;
@@ -124,17 +95,6 @@ runPoint(const Point& p, unsigned mc_jobs)
     out.grants = shared.arb.grants;
     for (const auto& port : shared.ports)
         out.stallOnL2 += port.waitCycles;
-    // Epoch-parallel leg: same shared timeline, worker pool attached.
-    MultiCoreTraceConfig epoch_cfg = configFor(p,
-                                               ContentionModel::Shared);
-    epoch_cfg.engine = MultiCoreEngine::Epoch;
-    epoch_cfg.jobs = mc_jobs;
-    t.reset();
-    MultiCoreTraceSimulator ep(epoch_cfg);
-    const auto epoch = ep.runLayer(p.layer);
-    out.epochSeconds = t.seconds();
-    out.epochMakespan = epoch.makespan;
-    out.epochBitIdentical = statsDump(epoch) == statsDump(shared);
     return out;
 }
 
@@ -147,14 +107,6 @@ main(int argc, char** argv)
     if (argc > 1 && argv[1][0] != '-')
         out_path = argv[1];
     const unsigned jobs = benchutil::jobsFromArgs(argc, argv, 1);
-    unsigned mc_jobs = 4;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--mc-jobs") == 0)
-            mc_jobs = static_cast<unsigned>(
-                std::strtoul(argv[i + 1], nullptr, 10));
-    }
-    if (mc_jobs == 0)
-        mc_jobs = 1;
     const unsigned hw_threads = std::thread::hardware_concurrency();
 
     const std::vector<Point> points = {
@@ -176,14 +128,13 @@ main(int argc, char** argv)
     benchutil::Timer total;
     benchutil::forEachPoint(points.size(), jobs,
                             [&](std::uint64_t i) {
-                                outcomes[i] = runPoint(points[i],
-                                                       mc_jobs);
+                                outcomes[i] = runPoint(points[i]);
                             });
     const double total_s = total.seconds();
 
-    benchutil::Table table({16, 12, 12, 10, 12, 10, 10});
+    benchutil::Table table({16, 12, 12, 10, 12, 10});
     table.row({"point", "static", "shared", "diverge", "arbConf",
-               "wall(s)", "par(x)"});
+               "wall(s)"});
     table.rule();
     for (std::size_t i = 0; i < points.size(); ++i) {
         const auto& o = outcomes[i];
@@ -192,23 +143,16 @@ main(int argc, char** argv)
                    benchutil::fmt("%+.1f%%", o.divergencePct()),
                    benchutil::num(o.arbConflicts),
                    benchutil::fmt("%.3f",
-                                  o.staticSeconds + o.sharedSeconds),
-                   benchutil::fmt("%.2f", o.parallelSpeedup())});
+                                  o.staticSeconds + o.sharedSeconds)});
     }
 
     std::ofstream out(out_path);
     if (!out)
         fatal("cannot write %s", out_path.c_str());
-    bool all_identical = true;
-    for (const auto& o : outcomes)
-        all_identical = all_identical && o.epochBitIdentical;
     out << "{\n"
         << "  \"benchmark\": \"multicore_contention\",\n"
         << "  \"jobs\": " << jobs << ",\n"
-        << "  \"mcJobs\": " << mc_jobs << ",\n"
         << "  \"hardwareThreads\": " << hw_threads << ",\n"
-        << "  \"epochBitIdentical\": "
-        << (all_identical ? "true" : "false") << ",\n"
         << "  \"totalWallSeconds\": "
         << benchutil::fmt("%.6f", total_s) << ",\n"
         << "  \"points\": [\n";
@@ -233,17 +177,10 @@ main(int argc, char** argv)
             << "      \"arbConflicts\": " << o.arbConflicts << ",\n"
             << "      \"arbGrants\": " << o.grants << ",\n"
             << "      \"stallOnL2\": " << o.stallOnL2 << ",\n"
-            << "      \"epochMakespan\": " << o.epochMakespan << ",\n"
-            << "      \"epochBitIdentical\": "
-            << (o.epochBitIdentical ? "true" : "false") << ",\n"
             << "      \"staticSeconds\": "
             << benchutil::fmt("%.6f", o.staticSeconds) << ",\n"
             << "      \"sharedSeconds\": "
-            << benchutil::fmt("%.6f", o.sharedSeconds) << ",\n"
-            << "      \"epochSeconds\": "
-            << benchutil::fmt("%.6f", o.epochSeconds) << ",\n"
-            << "      \"parallelSpeedup\": "
-            << benchutil::fmt("%.3f", o.parallelSpeedup()) << "\n"
+            << benchutil::fmt("%.6f", o.sharedSeconds) << "\n"
             << "    }" << (i + 1 < points.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
@@ -258,17 +195,6 @@ main(int argc, char** argv)
         std::fprintf(stderr,
                      "FAIL: starved point shows no contention "
                      "divergence\n");
-        return 1;
-    }
-    // The epoch engine must be bit-identical to serial on every point,
-    // regardless of worker count or host thread count.
-    if (!all_identical) {
-        for (std::size_t i = 0; i < points.size(); ++i)
-            if (!outcomes[i].epochBitIdentical)
-                std::fprintf(stderr,
-                             "FAIL: epoch engine diverged from serial "
-                             "on point %s\n",
-                             points[i].name);
         return 1;
     }
     return 0;

@@ -25,7 +25,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
+#include <new>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -54,7 +55,6 @@ usage()
         "                    [--no-fold-cache] [--audit]\n"
         "                    [--interval N]\n"
         "                    [--multicore PRxPC] [--contention MODEL]\n"
-        "                    [--mc-jobs N]\n"
         "  -s           write SRAM and main-memory traces of the\n"
         "               reported run into the output dir (sparse\n"
         "               OS/IS layers have no SRAM rows)\n"
@@ -75,11 +75,6 @@ usage()
         "               PRxPC grid (e.g. 2x2) instead of one core\n"
         "  --contention shared (cycle-interleaved co-simulation,\n"
         "               default) | static (sequential 1/N split)\n"
-        "  --mc-jobs    co-step the shared-contention cores with the\n"
-        "               epoch-parallel engine on N worker threads\n"
-        "               (0 = auto; bit-identical to the serial\n"
-        "               engine); [multicore] Engine/Jobs in the\n"
-        "               config file select the same\n"
         "workloads: ";
     for (const auto& name : workloads::names())
         std::cerr << name << " ";
@@ -105,7 +100,6 @@ main(int argc, char** argv)
     std::string interval_arg;
     std::string multicore_grid;
     std::string contention_name = "shared";
-    std::string mc_jobs_arg;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto next = [&]() -> std::string {
@@ -143,8 +137,6 @@ main(int argc, char** argv)
             multicore_grid = next();
         } else if (arg == "--contention") {
             contention_name = next();
-        } else if (arg == "--mc-jobs") {
-            mc_jobs_arg = next();
         } else {
             usage();
             return arg == "-h" || arg == "--help" ? 0 : 1;
@@ -203,19 +195,6 @@ main(int argc, char** argv)
             mc.dataflow = cfg.dataflow;
             mc.dramWordsPerCycle = cfg.memory.bandwidthWordsPerCycle;
             mc.contention = contention;
-            mc.engine = multicore::multiCoreEngineFromString(
-                cfg.multicore.engine);
-            mc.jobs = cfg.multicore.jobs;
-            if (!mc_jobs_arg.empty()) {
-                std::uint64_t jobs = 0;
-                if (parseUint64(mc_jobs_arg, jobs) != NumberParse::Ok
-                    || jobs > std::numeric_limits<unsigned>::max()) {
-                    fatal("--mc-jobs expects a worker count, got '%s'",
-                          mc_jobs_arg.c_str());
-                }
-                mc.jobs = static_cast<unsigned>(jobs);
-                mc.engine = multicore::MultiCoreEngine::Epoch;
-            }
             const std::uint32_t word
                 = std::max<std::uint32_t>(1, cfg.memory.wordBytes);
             mc.l1.ifmapWords = cfg.memory.ifmapSramKb * 1024 / word;
@@ -223,14 +202,13 @@ main(int argc, char** argv)
             mc.l1.ofmapWords = cfg.memory.ofmapSramKb * 1024 / word;
 
             inform("running %s (%zu layers) on a %llux%llu grid of "
-                   "%ux%u %s arrays, %s contention, %s engine",
+                   "%ux%u %s arrays, %s contention",
                    topo.name.c_str(), topo.layers.size(),
                    static_cast<unsigned long long>(pr),
                    static_cast<unsigned long long>(pc),
                    cfg.arrayRows, cfg.arrayCols,
                    toString(cfg.dataflow).c_str(),
-                   multicore::toString(contention),
-                   multicore::toString(mc.engine));
+                   multicore::toString(contention));
 
             multicore::MultiCoreTraceSimulator mcs(mc);
             obs::StatsRegistry reg;
@@ -420,6 +398,15 @@ main(int argc, char** argv)
         }
     } catch (const FatalError& err) {
         std::cerr << "error: " << err.what() << "\n";
+        return 1;
+    } catch (const std::bad_alloc&) {
+        // Input too large to simulate, e.g. a --multicore grid of
+        // 10^10 cores, is bad input and reported like any other.
+        std::cerr << "fatal: out of memory\n";
+        return 1;
+    } catch (const std::length_error&) {
+        // The same, past what a std::vector can even index.
+        std::cerr << "fatal: out of memory\n";
         return 1;
     }
     return 0;

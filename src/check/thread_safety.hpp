@@ -1,8 +1,7 @@
 /**
  * @file
  * Clang Thread Safety Analysis surface for the simulator's concurrent
- * code (ThreadPool sweeps, the epoch-parallel multi-core engine, the
- * serve-mode result cache). The repo's standing invariant is
+ * code (ThreadPool sweeps and the serve-mode result cache). The repo's standing invariant is
  * *bit-identical* results under any worker count; the locking
  * discipline that invariant rests on is encoded here as compile-time
  * capability annotations instead of runtime-TSan-maybe-catches.

@@ -337,12 +337,6 @@ SimConfig::validate() const
     if (sparsity.optimizedMapping && sparsity.blockSize < 2)
         fatal("row-wise sparsity needs BlockSize >= 2 (got %u)",
               sparsity.blockSize);
-    // fromIni checks the spelling; this catches configs built in code.
-    if (canonical(multicore.engine) != "serial"
-        && canonical(multicore.engine) != "epoch") {
-        fatal("[multicore] Engine must be serial or epoch (got '%s')",
-              multicore.engine.c_str());
-    }
 }
 
 SimConfig

@@ -194,18 +194,18 @@ struct DramConfig
     double coreClockMhz = 1000.0;
 };
 
-/** [multicore] section knobs (trace-level multi-core runs). */
+/**
+ * Read by nothing and outside walkConfigFields, so no INI key sets it.
+ * Kept only because perfbench/probe.cpp names it; goes at the next
+ * benchmark re-anchor.
+ */
 struct MultiCoreEngineConfig
 {
-    /**
-     * Co-step engine for the shared-timeline contention model:
-     * "serial" (single-threaded reference) or "epoch" (epoch-parallel,
-     * bit-identical to serial for every worker count — golden A/B
-     * enforced). `--mc-jobs N` on the CLI selects epoch with N
-     * workers.
-     */
+    /** Kept only for perfbench/probe.cpp; goes at the next benchmark
+        re-anchor. */
     std::string engine = "serial";
-    /** Worker threads for the epoch engine (0 = auto). */
+    /** Kept only for perfbench/probe.cpp; goes at the next benchmark
+        re-anchor. */
     std::uint32_t jobs = 0;
 };
 
@@ -386,9 +386,6 @@ walkConfigFields(Config& cfg, Visit&& field)
           dr.writeQueueSize);
     field({"memory", "CoreClockMhz", key, positive, dram_on},
           dr.coreClockMhz);
-    field({"multicore", "Engine", cosmetic, {}, {}, "serial|epoch"},
-          cfg.multicore.engine);
-    field({"multicore", "Jobs", cosmetic}, cfg.multicore.jobs);
     field({"layout", "LayoutModel", key}, lay.enabled);
     field({"layout", "Banks", key, positive, layout_on}, lay.banks);
     field({"layout", "PortsPerBank", key, positive, layout_on},

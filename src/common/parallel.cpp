@@ -90,47 +90,6 @@ ThreadPool::workerLoop(std::stop_token stop)
 }
 
 void
-CompletionQueue::finish(std::size_t index, std::exception_ptr error)
-{
-    {
-        MutexLock lock(mutex_);
-        done_.push_back(index);
-        if (error && !error_)
-            error_ = error;
-    }
-    ready_.notify_one();
-}
-
-std::vector<std::size_t>
-CompletionQueue::poll()
-{
-    MutexLock lock(mutex_);
-    std::vector<std::size_t> out;
-    out.swap(done_);
-    return out;
-}
-
-std::vector<std::size_t>
-CompletionQueue::waitAny()
-{
-    MutexLock lock(mutex_);
-    ready_.wait(lock, [this] {
-        mutex_.assertHeld();
-        return !done_.empty();
-    });
-    std::vector<std::size_t> out;
-    out.swap(done_);
-    return out;
-}
-
-std::exception_ptr
-CompletionQueue::error()
-{
-    MutexLock lock(mutex_);
-    return error_;
-}
-
-void
 parallelFor(std::uint64_t n, unsigned jobs,
             const std::function<void(std::uint64_t)>& body)
 {

@@ -13,9 +13,9 @@
  *
  * Locking discipline (statically enforced under clang's thread-safety
  * analysis, see check/thread_safety.hpp): every mutable member of
- * ThreadPool and CompletionQueue is guarded by the instance's one
- * mutex; all public entry points acquire it internally and must be
- * called without it held (SIM_EXCLUDES).
+ * ThreadPool is guarded by its one mutex; all public entry points
+ * acquire it internally and must be called without it held
+ * (SIM_EXCLUDES).
  */
 
 #ifndef SCALESIM_COMMON_PARALLEL_HH
@@ -25,7 +25,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -78,47 +77,6 @@ class ThreadPool
     std::deque<std::function<void()>> tasks_ SIM_GUARDED_BY(mutex_);
     std::uint64_t inFlight_ SIM_GUARDED_BY(mutex_) = 0;
     std::vector<std::jthread> workers_; // last: joins before members die
-};
-
-/**
- * Single-consumer completion channel for tracking *individual* tasks
- * submitted to a ThreadPool (whose wait() only knows "all done").
- * Each task calls finish(index) when it completes — from any thread —
- * and the consumer collects finished indices with poll() (non-blocking)
- * or waitAny() (blocks until at least one task has finished).
- *
- * Memory-visibility contract: every write a task performed before
- * finish(i) is visible to the consumer once poll()/waitAny() has
- * returned i (both sides synchronize on the internal mutex), so the
- * consumer may freely read the task's results afterwards.
- *
- * A task that failed reports its exception via finish(i, eptr); the
- * index is still delivered (so in-flight accounting stays exact) and
- * the first reported exception is kept for the consumer to rethrow
- * via error() once it has drained everything it is waiting on.
- */
-class CompletionQueue
-{
-  public:
-    /** Mark task `index` finished; safe from any thread. */
-    void finish(std::size_t index,
-                std::exception_ptr error = nullptr)
-        SIM_EXCLUDES(mutex_);
-
-    /** Collect finished indices without blocking (may be empty). */
-    std::vector<std::size_t> poll() SIM_EXCLUDES(mutex_);
-
-    /** Block until at least one task finishes, then collect. */
-    std::vector<std::size_t> waitAny() SIM_EXCLUDES(mutex_);
-
-    /** First exception reported by finish(), or nullptr. */
-    std::exception_ptr error() SIM_EXCLUDES(mutex_);
-
-  private:
-    CheckedMutex mutex_;
-    std::condition_variable_any ready_;
-    std::vector<std::size_t> done_ SIM_GUARDED_BY(mutex_);
-    std::exception_ptr error_ SIM_GUARDED_BY(mutex_);
 };
 
 /**

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <exception>
+#include <limits>
 
-#include "check/contract.hpp"
 #include "common/log.hpp"
 
 namespace scalesim::multicore
@@ -36,18 +35,10 @@ multiCoreEngineFromString(std::string_view text)
     std::string lower(text);
     std::transform(lower.begin(), lower.end(), lower.begin(),
                    [](unsigned char c) { return std::tolower(c); });
-    if (lower == "serial")
-        return MultiCoreEngine::Serial;
-    if (lower == "epoch")
-        return MultiCoreEngine::Epoch;
-    fatal("unknown multicore engine '%.*s' (serial|epoch)",
-          static_cast<int>(text.size()), text.data());
-}
-
-const char*
-toString(MultiCoreEngine engine)
-{
-    return engine == MultiCoreEngine::Serial ? "serial" : "epoch";
+    if (lower != "serial")
+        fatal("unknown multicore engine '%.*s' (serial)",
+              static_cast<int>(text.size()), text.data());
+    return MultiCoreEngine::Serial;
 }
 
 MultiCoreTraceSimulator::MultiCoreTraceSimulator(
@@ -56,6 +47,14 @@ MultiCoreTraceSimulator::MultiCoreTraceSimulator(
 {
     if (cfg_.pr == 0 || cfg_.pc == 0)
         fatal("multi-core grid must be non-zero");
+    // shareStarts() sizes pr + 1 and pc + 1 entries, so the core count
+    // must stay below the 64-bit maximum, not merely fit.
+    if (cfg_.pr > (std::numeric_limits<std::uint64_t>::max() - 1)
+                      / cfg_.pc) {
+        fatal("multi-core grid %llux%llu overflows the core count",
+              static_cast<unsigned long long>(cfg_.pr),
+              static_cast<unsigned long long>(cfg_.pc));
+    }
     if (cfg_.contention == ContentionModel::Static) {
         // Cores execute concurrently but are simulated one after the
         // other; shared-resource contention is approximated by giving
@@ -225,145 +224,6 @@ MultiCoreTraceSimulator::runLayerStatic(const LayerSpec& layer)
     return result;
 }
 
-namespace
-{
-
-using Spad = systolic::DoubleBufferedScratchpad;
-
-/**
- * Epoch-parallel co-step loop, bit-identical to the serial loop for
- * every worker count.
- *
- * Every event an engine advertises *is* a shared-memory transaction,
- * so the transactions themselves must execute serially in grant order
- * (each one moves the shared bus cursors the next one depends on).
- * What can run concurrently is the engine-local bookkeeping *between*
- * an engine's transactions: after its issue executes, an engine
- * repositions its burst cursor and — at fold boundaries — attributes
- * stalls and plans the next fold's fetches, none of which touches the
- * shared memory. stepIssue() therefore returns a floor: a sound lower
- * bound on every event the engine can advertise once that deferred
- * bookkeeping completes.
- *
- * The coordinator keeps a rolling epoch whose horizon is the minimum
- * floor over all in-flight engines. Any advertised transaction
- * strictly below the horizon is granted exactly as the serial arbiter
- * would grant it — an in-flight engine's true next event is >= its
- * floor, so it can neither precede nor tie the grant (ties would
- * perturb the round-robin pointer and the arbConflicts/waiters stats).
- * When nothing is grantable the coordinator rendezvouses: it blocks
- * until a worker completes, refreshes that engine's advertised event,
- * and re-evaluates. This is the epoch-rendezvous invariant (see
- * DESIGN.md): grants depend only on advertised events and floors,
- * never on worker scheduling, so the grant sequence — and with it
- * every stat — is reproducible independent of the worker count.
- *
- * Thread-safety: the only state shared with the workers is the
- * CompletionQueue (internally locked; its methods carry SIM_EXCLUDES
- * annotations, see common/parallel.hpp) and the engine handed to each
- * task — which the coordinator masks out of next[] until the
- * completion is harvested, so exactly one thread touches an engine at
- * a time. No other state here needs a mutex, and scalesim_lint's
- * `naked-mutex` check would flag an unannotated one.
- */
-ArbiterStats
-coStepEpoch(const std::vector<Spad*>& engines, bool scan_reverse,
-            ThreadPool* pool)
-{
-    constexpr Cycle none = Spad::kNoEvent;
-    RoundRobinArbiter arb(engines.size(), scan_reverse);
-    std::vector<Cycle> next(engines.size());
-    for (std::size_t k = 0; k < engines.size(); ++k)
-        next[k] = engines[k]->nextEventCycle();
-    // Engines whose stepAdvance() is running on a worker are masked
-    // out of next[] and represented by their floor instead.
-    std::vector<Cycle> floorOf(engines.size(), none);
-    std::vector<char> inFlight(engines.size(), 0);
-    std::size_t inFlightCount = 0;
-    CompletionQueue completions;
-
-    auto harvest = [&](const std::vector<std::size_t>& done) {
-        for (std::size_t idx : done) {
-            inFlight[idx] = 0;
-            --inFlightCount;
-            floorOf[idx] = none;
-            // The worker's writes are visible here (CompletionQueue's
-            // memory-visibility contract), so the refreshed event is
-            // the engine's post-advance truth.
-            next[idx] = engines[idx]->nextEventCycle();
-        }
-    };
-
-    try {
-        for (;;) {
-            if (inFlightCount) {
-                harvest(completions.poll());
-                if (auto error = completions.error())
-                    std::rethrow_exception(error);
-            }
-            Cycle min_next = none;
-            for (const Cycle c : next)
-                min_next = std::min(min_next, c);
-            Cycle horizon = none;
-            for (std::size_t k = 0; k < engines.size(); ++k) {
-                if (inFlight[k])
-                    horizon = std::min(horizon, floorOf[k]);
-            }
-            if (min_next == none) {
-                if (!inFlightCount)
-                    break; // every engine is done
-                harvest(completions.waitAny());
-                continue;
-            }
-            if (inFlightCount && min_next >= horizon) {
-                // Rendezvous: an in-flight engine could still
-                // advertise an event at or before min_next.
-                harvest(completions.waitAny());
-                continue;
-            }
-            const std::size_t g = arb.grant(next, none);
-            SIM_CHECK(g != RoundRobinArbiter::kNone,
-                      "advertised event must yield a grant");
-            SIM_CHECK(inFlightCount == 0 || next[g] < horizon,
-                      "epoch-rendezvous invariant: grants must stay "
-                      "strictly below every in-flight engine's floor");
-            const Spad::StepIssue issue = engines[g]->stepIssue();
-            if (pool != nullptr && issue.heavy) {
-                inFlight[g] = 1;
-                ++inFlightCount;
-                floorOf[g] = issue.floorCycle;
-                next[g] = none;
-                Spad* const eng = engines[g];
-                pool->submit([eng, g, &completions] {
-                    std::exception_ptr error;
-                    try {
-                        eng->stepAdvance();
-                    } catch (...) {
-                        error = std::current_exception();
-                    }
-                    completions.finish(g, error);
-                });
-            } else {
-                engines[g]->stepAdvance();
-                next[g] = engines[g]->nextEventCycle();
-            }
-        }
-    } catch (...) {
-        // Never leave workers touching the engines we are about to
-        // unwind past: every submitted task finishes exactly once.
-        while (inFlightCount) {
-            for (std::size_t idx : completions.waitAny()) {
-                inFlight[idx] = 0;
-                --inFlightCount;
-            }
-        }
-        throw;
-    }
-    return arb.stats();
-}
-
-} // namespace
-
 MultiCoreTraceResult
 MultiCoreTraceSimulator::runLayerShared(const LayerSpec& layer)
 {
@@ -430,17 +290,7 @@ MultiCoreTraceSimulator::runLayerShared(const LayerSpec& layer)
     // pending transaction (round-robin on ties), so the shared bus
     // cursors advance in nondecreasing time and contention is FCFS in
     // simulated time rather than in core-enumeration order.
-    if (!runs.empty() && cfg_.engine == MultiCoreEngine::Epoch) {
-        const unsigned jobs = resolveJobs(cfg_.jobs);
-        if (jobs > 1 && !pool_)
-            pool_ = std::make_unique<ThreadPool>(jobs);
-        std::vector<Spad*> engines;
-        engines.reserve(runs.size());
-        for (const auto& run : runs)
-            engines.push_back(run.l1.get());
-        result.arb = coStepEpoch(engines, cfg_.arbScanReverse,
-                                 jobs > 1 ? pool_.get() : nullptr);
-    } else if (!runs.empty()) {
+    if (!runs.empty()) {
         RoundRobinArbiter arb(runs.size(), cfg_.arbScanReverse);
         // nextEventCycle() depends only on the engine's own state (see
         // its contract), so stepping the granted engine can only move

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/parallel.hpp"
 #include "multicore/arbiter.hpp"
 #include "multicore/shared_l2.hpp"
 #include "systolic/scratchpad.hpp"
@@ -51,28 +50,17 @@ enum class ContentionModel
 ContentionModel contentionModelFromString(std::string_view text);
 const char* toString(ContentionModel model);
 
-/** Co-step engine driving the Shared contention model's timeline. */
+/** The one co-step engine. Kept only because perfbench/probe.cpp
+    names it; goes at the next benchmark re-anchor. */
 enum class MultiCoreEngine
 {
-    /** Single-threaded reference: grant and execute one transaction
-        at a time. */
     Serial,
-    /**
-     * Epoch-parallel: the serial arbiter still resolves every shared
-     * L2/DRAM transaction in exactly serial order, but each engine's
-     * post-issue bookkeeping (fold wrap-up, next-fold planning) runs
-     * on ThreadPool workers while the coordinator keeps granting
-     * transactions that provably precede every in-flight engine's
-     * advertised-event floor (the epoch-rendezvous invariant, see
-     * DESIGN.md). Bit-identical to Serial for every worker count —
-     * enforced by golden A/B tests.
-     */
-    Epoch,
 };
 
-/** Parse "serial" | "epoch" (case-insensitive). */
+/** Accepts only "serial" (case-insensitive). Kept only because
+    perfbench/probe.cpp calls it; goes at the next benchmark
+    re-anchor. */
 MultiCoreEngine multiCoreEngineFromString(std::string_view text);
-const char* toString(MultiCoreEngine engine);
 
 /** Configuration of the trace-level multi-core system. */
 struct MultiCoreTraceConfig
@@ -89,11 +77,11 @@ struct MultiCoreTraceConfig
     double dramWordsPerCycle = 32.0;
     /** Contention model (see file comment). */
     ContentionModel contention = ContentionModel::Shared;
-    /** Co-step engine for the Shared model (Serial is the
-        reference; Epoch is bit-identical and parallel). */
+    /** Read by nothing. Kept only because perfbench/probe.cpp sets
+        it; goes at the next benchmark re-anchor. */
     MultiCoreEngine engine = MultiCoreEngine::Serial;
-    /** Worker threads for the Epoch engine (0 = auto via
-        resolveJobs(); <= 1 resolved runs the epoch loop inline). */
+    /** Read by nothing. Kept only because perfbench/probe.cpp sets
+        it; goes at the next benchmark re-anchor. */
     unsigned jobs = 0;
     /**
      * Scan arbiter ports in reverse enumeration order. The grant is an
@@ -185,9 +173,6 @@ class MultiCoreTraceSimulator
     std::unique_ptr<systolic::BandwidthMemory> dram_;
     std::unique_ptr<SharedL2> l2_;
     systolic::MainMemory* coreView_; // L2 if enabled, else DRAM
-    /** Lazily-created worker pool for the Epoch engine; persists
-        across layers so pool spin-up is paid once per run. */
-    std::unique_ptr<ThreadPool> pool_;
 };
 
 } // namespace scalesim::multicore

@@ -254,41 +254,6 @@ class DoubleBufferedScratchpad
      */
     void step();
 
-    /**
-     * Split-phase step() for epoch-parallel co-simulation.
-     *
-     * stepIssue() performs the shared-memory transaction — the only
-     * part of a step that touches state outside this engine — and
-     * returns a *horizon*: a sound lower bound on every event cycle
-     * this engine can advertise once the deferred bookkeeping has run.
-     * stepAdvance() performs that bookkeeping (burst positioning, fold
-     * wrap-up, next-fold planning); it touches exclusively
-     * engine-local state, so a co-simulation scheduler may run it on a
-     * worker thread while continuing to grant other engines any
-     * transaction strictly below `floorCycle` (the epoch-rendezvous
-     * invariant — see DESIGN.md). step() == stepIssue() + stepAdvance()
-     * exactly, so the serial path is unchanged.
-     *
-     * Between stepIssue() and stepAdvance() the engine's
-     * nextEventCycle() is stale; a scheduler must treat the engine as
-     * pending (no advertised event) until stepAdvance() returns.
-     */
-    struct StepIssue
-    {
-        /** No event this engine advertises after the deferred
-            stepAdvance() precedes this cycle. */
-        Cycle floorCycle = 0;
-        /** The deferred advance crosses a fold boundary (stall
-            attribution + next-fold planning) — the expensive case,
-            worth offloading to a worker thread. When false the
-            advance is O(1); run it inline. */
-        bool heavy = false;
-    };
-    StepIssue stepIssue();
-
-    /** Complete a stepIssue(): advance to the next transaction. */
-    void stepAdvance();
-
     /** Finalize the stepped layer and return its timing. */
     LayerTiming finishLayer();
 

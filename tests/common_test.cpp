@@ -282,7 +282,6 @@ TEST(SimConfig, FromIniDefaultsAndOverrides)
         "Dataflow = os\nIfmapSramSzkB = 512\n"
         "[memory]\nDramModel = true\nTech = HBM2\nChannels = 4\n"
         "ReadQueueSize = 32\n"
-        "[multicore]\nEngine = epoch\nJobs = 4\n"
         "[layout]\nLayoutModel = true\nBanks = 8\n"
         "[energy]\nEnergyModel = true\nRowSize = 16\n");
     SimConfig cfg = SimConfig::fromIni(ini);
@@ -300,8 +299,6 @@ TEST(SimConfig, FromIniDefaultsAndOverrides)
     EXPECT_EQ(cfg.layout.banks, 8u);
     EXPECT_TRUE(cfg.energy.enabled);
     EXPECT_EQ(cfg.energy.rowSize, 16u);
-    EXPECT_EQ(cfg.multicore.engine, "epoch");
-    EXPECT_EQ(cfg.multicore.jobs, 4u);
 
     // Every key of the config table round-trips through INI text, with
     // every field moved off its default.
@@ -369,27 +366,19 @@ TEST(SimConfig, BadEnumeratedValuesAreFatal)
                           "enum.cfg:2: general.mode: 'analytcal'");
     expectFatalContaining(load("[sparsity]\nSparseRep = coo\n"),
                           "enum.cfg:2: sparsity.SparseRep: 'coo'");
-    expectFatalContaining(load("[multicore]\nEngine = turbo\n"),
-                          "enum.cfg:2: multicore.Engine: 'turbo'");
+    // The multi-core engine is no longer a config choice: its old
+    // section fails like any other unknown one.
+    expectFatalContaining(load("[multicore]\nEngine = epoch\n"),
+                          "enum.cfg:2: multicore.Engine: unknown config "
+                          "key");
     // Every spelling the parsers accept still loads.
     const SimConfig cfg = SimConfig::fromIni(IniFile::parseString(
         "[general]\nmode = Analytical\n"
         "[architecture]\nDataflow = weight_stationary\n"
-        "[sparsity]\nSparseRep = csr\n[multicore]\nEngine = Epoch\n"));
+        "[sparsity]\nSparseRep = csr\n"));
     EXPECT_EQ(cfg.mode, SimMode::Analytical);
     EXPECT_EQ(cfg.dataflow, Dataflow::WeightStationary);
     EXPECT_EQ(cfg.sparsity.rep, SparseRep::Csr);
-    EXPECT_EQ(cfg.multicore.engine, "Epoch");
-}
-
-TEST(SimConfig, RejectsUnknownMulticoreEngine)
-{
-    SimConfig cfg;
-    cfg.multicore.engine = "turbo";
-    expectFatalContaining([&] { cfg.validate(); },
-                          "Engine must be serial or epoch");
-    cfg.multicore.engine = "Epoch"; // canonicalized like other knobs
-    cfg.validate();
 }
 
 TEST(SparseRatio, Parsing)

@@ -1,11 +1,13 @@
 /**
  * @file
- * Multi-core contention-model tests: golden pinning of the sequential
- * static-split mode, determinism and enumeration-order independence of
- * the cycle-interleaved shared mode, the static-vs-shared divergence
- * on a bandwidth-starved configuration, the l1FillWords == L2 service
- * invariant, and spatial-partition operand-view coverage for all three
- * dataflows.
+ * Multi-core contention-model tests: golden pinning of both the
+ * sequential static-split mode and the cycle-interleaved shared mode,
+ * determinism and enumeration-order independence of the shared mode,
+ * the static-vs-shared divergence on a bandwidth-starved configuration,
+ * the l1FillWords == L2 service invariant, zero-share cores on grids
+ * wider than the mapped dims, the port-level read-latency split, the
+ * static model's fractional L2 share, the core-count overflow check,
+ * and spatial-partition operand-view coverage for all three dataflows.
  */
 
 #include <set>
@@ -14,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/audit.hpp"
 #include "common/log.hpp"
 #include "multicore/trace_sim.hpp"
 #include "obs/stats.hpp"
@@ -62,6 +65,20 @@ configC()
     cfg.l1.ifmapWords = 2048;
     cfg.l1.filterWords = 2048;
     cfg.dramWordsPerCycle = 8.0;
+    return cfg;
+}
+
+/** Config D: WS 4x4 wide grid behind the shared L2. */
+MultiCoreTraceConfig
+configD()
+{
+    MultiCoreTraceConfig cfg;
+    cfg.pr = cfg.pc = 4;
+    cfg.arrayRows = cfg.arrayCols = 16;
+    cfg.dataflow = Dataflow::WeightStationary;
+    cfg.l1.ifmapWords = 4096;
+    cfg.l1.filterWords = 4096;
+    cfg.dramWordsPerCycle = 16.0;
     return cfg;
 }
 
@@ -176,6 +193,87 @@ TEST(Contention, StaticModeMatchesGoldenC)
 }
 
 // ---------------------------------------------------------------------
+// Golden pinning: ContentionModel::Shared must reproduce the co-step
+// loop's results bit-for-bit — makespan, per-core cycles, the arbiter's
+// grant/conflict counts and the DRAM and L1-fill traffic.
+
+TEST(Contention, SharedModeMatchesGoldenA)
+{
+    const auto r = run(configA(), layerA(), ContentionModel::Shared);
+    EXPECT_EQ(r.makespan, 6251u);
+    EXPECT_EQ(r.arb.grants, 21504u);
+    EXPECT_EQ(r.arb.arbConflicts, 25553u);
+    EXPECT_EQ(r.dramReadWords, 49408u);
+    EXPECT_EQ(r.dramWriteWords, 65536u);
+    EXPECT_EQ(r.l1FillWords, 278528u);
+    ASSERT_EQ(r.perCore.size(), 4u);
+    const Cycle golden_total[] = {6251, 5338, 5348, 5359};
+    const Cycle golden_stall[] = {1419, 506, 516, 527};
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(r.perCore[i].totalCycles, golden_total[i]) << i;
+        EXPECT_EQ(r.perCore[i].stallCycles, golden_stall[i]) << i;
+    }
+}
+
+TEST(Contention, SharedModeMatchesGoldenB)
+{
+    const auto r = run(configB(), layerB(), ContentionModel::Shared);
+    EXPECT_EQ(r.makespan, 4988u);
+    EXPECT_EQ(r.arb.grants, 912u);
+    EXPECT_EQ(r.arb.arbConflicts, 614u);
+    EXPECT_EQ(r.dramReadWords, 15360u);
+    EXPECT_EQ(r.dramWriteWords, 6144u);
+    EXPECT_EQ(r.l1FillWords, 15360u);
+    ASSERT_EQ(r.perCore.size(), 4u);
+    const Cycle golden_total[] = {4028, 4348, 4668, 4988};
+    const Cycle golden_stall[] = {3464, 3784, 4104, 4424};
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(r.perCore[i].totalCycles, golden_total[i]) << i;
+        EXPECT_EQ(r.perCore[i].stallCycles, golden_stall[i]) << i;
+    }
+}
+
+TEST(Contention, SharedModeMatchesGoldenC)
+{
+    const auto r = run(configC(), layerC(), ContentionModel::Shared);
+    EXPECT_EQ(r.makespan, 19964u);
+    EXPECT_EQ(r.arb.grants, 6480u);
+    EXPECT_EQ(r.arb.arbConflicts, 140u);
+    EXPECT_EQ(r.dramReadWords, 60160u);
+    EXPECT_EQ(r.dramWriteWords, 9216u);
+    EXPECT_EQ(r.l1FillWords, 115200u);
+    ASSERT_EQ(r.perCore.size(), 4u);
+    const Cycle golden_total[] = {19932, 19728, 19772, 19964};
+    const Cycle golden_stall[] = {4452, 4248, 4292, 4484};
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(r.perCore[i].totalCycles, golden_total[i]) << i;
+        EXPECT_EQ(r.perCore[i].stallCycles, golden_stall[i]) << i;
+    }
+}
+
+TEST(Contention, SharedModeMatchesGoldenD)
+{
+    const auto r = run(configD(), layerA(), ContentionModel::Shared);
+    EXPECT_EQ(r.makespan, 3921u);
+    EXPECT_EQ(r.arb.grants, 25600u);
+    EXPECT_EQ(r.arb.arbConflicts, 99984u);
+    EXPECT_EQ(r.dramReadWords, 49408u);
+    EXPECT_EQ(r.dramWriteWords, 131072u);
+    EXPECT_EQ(r.l1FillWords, 278528u);
+    ASSERT_EQ(r.perCore.size(), 16u);
+    const Cycle golden_total[] = {3713, 3921, 3722, 1560, 1969, 3736,
+                                  1568, 1576, 1987, 3750, 1584, 1592,
+                                  2004, 3781, 1600, 1608};
+    const Cycle golden_stall[] = {2505, 2713, 2514, 352, 761, 2528,
+                                  360,  368,  779, 2542, 376, 384,
+                                  796,  2573, 392, 400};
+    for (int i = 0; i < 16; ++i) {
+        EXPECT_EQ(r.perCore[i].totalCycles, golden_total[i]) << i;
+        EXPECT_EQ(r.perCore[i].stallCycles, golden_stall[i]) << i;
+    }
+}
+
+// ---------------------------------------------------------------------
 // Shared-mode semantics.
 
 TEST(Contention, SharedModeIsDeterministic)
@@ -265,6 +363,143 @@ TEST(Contention, ModelKnobParses)
     EXPECT_THROW(contentionModelFromString("fair"), FatalError);
     EXPECT_STREQ(toString(ContentionModel::Shared), "shared");
     EXPECT_STREQ(toString(ContentionModel::Static), "static");
+}
+
+// ---------------------------------------------------------------------
+// Zero-share cores: a grid wider than the mapped dims leaves
+// default-constructed perCore/ports slots. Stats registration, the
+// arbiter port count, and the conservation laws must all stay correct
+// with idle cores.
+
+namespace
+{
+
+/** OS 4x4 grid on a 2-row GEMM: row shares {1,1,0,0} leave cores
+    8..15 with nothing mapped. */
+MultiCoreTraceConfig
+zeroShareConfig()
+{
+    MultiCoreTraceConfig cfg;
+    cfg.pr = cfg.pc = 4;
+    cfg.arrayRows = cfg.arrayCols = 8;
+    cfg.dataflow = Dataflow::OutputStationary;
+    return cfg;
+}
+
+const LayerSpec&
+zeroShareLayer()
+{
+    static const LayerSpec layer = LayerSpec::gemm("thin", 2, 64, 64);
+    return layer;
+}
+
+} // namespace
+
+TEST(ZeroShareCores, StatsAndConservationLawsHold)
+{
+    const auto r = run(zeroShareConfig(), zeroShareLayer(),
+                       ContentionModel::Shared);
+    ASSERT_EQ(r.perCore.size(), 16u);
+    ASSERT_EQ(r.ports.size(), 16u);
+    EXPECT_GT(r.makespan, 0u);
+    EXPECT_GT(r.arb.grants, 0u);
+    // Rows 2 and 3 of the grid get a zero share of the 2-row GEMM:
+    // their slots stay default-constructed.
+    for (std::size_t core = 8; core < 16; ++core) {
+        EXPECT_EQ(r.perCore[core].totalCycles, 0u) << core;
+        EXPECT_EQ(r.ports[core].readRequests, 0u) << core;
+        EXPECT_EQ(r.ports[core].totalReadLatency, 0u) << core;
+    }
+    // Registration covers every slot, idle ones included.
+    const std::string dump = statsDump(r);
+    EXPECT_NE(dump.find("mc.core0.totalCycles"), std::string::npos);
+    EXPECT_NE(dump.find("mc.core15.totalCycles"), std::string::npos);
+
+    check::InvariantAuditor auditor;
+    auditor.auditArbiter(r, true, "zeroShare");
+    for (std::size_t core = 0; core < r.perCore.size(); ++core) {
+        auditor.auditStallAccounting(r.perCore[core], "zeroShare");
+        auditor.auditCpiStack(r.perCore[core].cpi,
+                              r.perCore[core].totalCycles, "zeroShare");
+    }
+    EXPECT_TRUE(auditor.report().clean());
+}
+
+// ---------------------------------------------------------------------
+// Port-level cpi.conservation: the read-latency split must cover the
+// total exactly — the residual the backend leaves unattributed (all of
+// the L2's hit/fill/transfer time) is folded into readService instead
+// of silently vanishing from the queue/port split.
+
+TEST(PortLatencySplit, ConservesTotalReadLatencyWithL2)
+{
+    const auto r = run(configA(), layerA(), ContentionModel::Shared);
+    ASSERT_EQ(r.ports.size(), 4u);
+    for (std::size_t i = 0; i < r.ports.size(); ++i) {
+        const auto& port = r.ports[i];
+        ASSERT_GT(port.readRequests, 0u) << i;
+        EXPECT_EQ(port.readPortWait + port.readQueueWait
+                      + port.readRefresh + port.readService,
+                  port.totalReadLatency)
+            << i;
+        // SharedL2 reports no component stats at all, so everything
+        // beyond the issue wait must have landed in readService.
+        EXPECT_EQ(port.readQueueWait, 0u) << i;
+        EXPECT_GT(port.readService, 0u) << i;
+        // waitCycles also accumulates write-issue waits, so it bounds
+        // the read-only portWait component from above.
+        EXPECT_LE(port.readPortWait, port.waitCycles) << i;
+    }
+}
+
+TEST(PortLatencySplit, ConservesTotalReadLatencyWithoutL2)
+{
+    const auto r = run(configB(), layerB(), ContentionModel::Shared);
+    ASSERT_EQ(r.ports.size(), 4u);
+    for (std::size_t i = 0; i < r.ports.size(); ++i) {
+        const auto& port = r.ports[i];
+        EXPECT_EQ(port.readPortWait + port.readQueueWait
+                      + port.readRefresh + port.readService,
+                  port.totalReadLatency)
+            << i;
+        // The bandwidth model's queue wait equals the issue wait, so
+        // the reclassification absorbs it completely.
+        EXPECT_EQ(port.readQueueWait, 0u) << i;
+        EXPECT_GT(port.readService, 0u) << i;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Static-contention fractional L2 share: a grid wider than the L2 port
+// must not be silently granted a full word per cycle per core.
+
+TEST(StaticContention, FractionalL2ShareIsRespected)
+{
+    // 4 cores on a 2-words/cycle port leave each core 0.5 words/cycle;
+    // on a 4-words/cycle port exactly 1.0. The old clamp raised both
+    // to 1.0, making the two makespans equal and the aggregate modeled
+    // bandwidth exceed the configured port width.
+    MultiCoreTraceConfig narrow = configA();
+    narrow.l2.wordsPerCycle = 2.0;
+    MultiCoreTraceConfig full = narrow;
+    full.l2.wordsPerCycle = 4.0;
+    EXPECT_GT(run(narrow, layerA(), ContentionModel::Static).makespan,
+              run(full, layerA(), ContentionModel::Static).makespan);
+}
+
+TEST(StaticContention, DivergenceDirectionOnNarrowPort)
+{
+    // Pin the static-vs-shared divergence direction on a port narrower
+    // than the grid. The static model assumes perfectly even
+    // time-sharing (each core streams at its fractional share, never
+    // colliding), while the shared timeline charges real burst
+    // collisions — so on this config the honest-collision makespan
+    // exceeds the optimistic static split. The old clamp hid the
+    // divergence entirely by handing every core a full word per cycle.
+    MultiCoreTraceConfig cfg = configA();
+    cfg.l2.wordsPerCycle = 2.0;
+    EXPECT_LT(run(cfg, layerB(), ContentionModel::Static).makespan,
+              run(cfg, layerB(), ContentionModel::Shared).makespan);
 }
 
 // ---------------------------------------------------------------------

@@ -370,6 +370,22 @@ TEST(TraceSim, MakespanBelowSingleCore)
     EXPECT_LT(m.runLayer(layer).makespan, s.runLayer(layer).makespan);
 }
 
+TEST(TraceSim, RejectsCoreCountOverflow)
+{
+    // 2^32 x 2^32 cores wraps a 64-bit product to 0; the constructor
+    // must refuse it instead of sizing per-core state from the wrap.
+    MultiCoreTraceConfig cfg;
+    cfg.pr = cfg.pc = std::uint64_t{1} << 32;
+    for (const ContentionModel model :
+         {ContentionModel::Shared, ContentionModel::Static}) {
+        cfg.contention = model;
+        EXPECT_THROW(MultiCoreTraceSimulator sim(cfg), FatalError)
+            << toString(model);
+    }
+    cfg.pc = 1;
+    EXPECT_NO_THROW(MultiCoreTraceSimulator sim(cfg));
+}
+
 TEST(MeshNop, HopGeometry)
 {
     const auto mesh = MeshNop::cornerAttached(4, 4);

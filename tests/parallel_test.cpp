@@ -268,42 +268,3 @@ TEST(SparsitySpeedup, UtilizationStaysBoundedAndSpeedupReported)
     const core::RunResult dense_run = dense_sim.run(dense_topo);
     EXPECT_DOUBLE_EQ(dense_run.layers[0].speedup, 1.0);
 }
-
-TEST(CompletionQueue, PollAndWaitAnyDrainFinishedIndices)
-{
-    CompletionQueue queue;
-    EXPECT_TRUE(queue.poll().empty());
-    queue.finish(3);
-    queue.finish(7);
-    std::vector<std::size_t> done = queue.poll();
-    ASSERT_EQ(done.size(), 2u);
-    EXPECT_EQ(done[0], 3u);
-    EXPECT_EQ(done[1], 7u);
-    EXPECT_TRUE(queue.poll().empty());
-    // waitAny blocks until a completion arrives from another thread.
-    ThreadPool pool(2);
-    pool.submit([&queue] { queue.finish(11); });
-    done = queue.waitAny();
-    ASSERT_EQ(done.size(), 1u);
-    EXPECT_EQ(done[0], 11u);
-    EXPECT_EQ(queue.error(), nullptr);
-    pool.wait();
-}
-
-TEST(CompletionQueue, KeepsFirstErrorAcrossCompletions)
-{
-    CompletionQueue queue;
-    queue.finish(0, std::make_exception_ptr(
-                        std::runtime_error("first")));
-    queue.finish(1, std::make_exception_ptr(
-                        std::runtime_error("second")));
-    queue.finish(2);
-    EXPECT_EQ(queue.poll().size(), 3u);
-    const std::exception_ptr error = queue.error();
-    ASSERT_NE(error, nullptr);
-    try {
-        std::rethrow_exception(error);
-    } catch (const std::runtime_error& e) {
-        EXPECT_STREQ(e.what(), "first");
-    }
-}

@@ -216,7 +216,7 @@ TEST(CacheKey, CosmeticConfigFieldsDoNotDiscriminate)
     EXPECT_EQ(layerCacheKey(cfg, renamed, 0), base_key);
 
     // Every other field of the config table, one at a time: run name,
-    // audit, interval sampling, fold spans, multicore engine and jobs.
+    // audit, interval sampling and fold spans.
     int cosmetic = 0;
     for (std::size_t i = 0; i < configfields::count(); ++i) {
         ConfigField f{};
@@ -227,7 +227,7 @@ TEST(CacheKey, CosmeticConfigFieldsDoNotDiscriminate)
         EXPECT_EQ(layerCacheKey(changed, layer, 0), base_key)
             << f.section << "." << f.key;
     }
-    EXPECT_EQ(cosmetic, 6);
+    EXPECT_EQ(cosmetic, 4);
 }
 
 TEST(CacheKey, DigestsArePinned)
