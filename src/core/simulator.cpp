@@ -5,6 +5,7 @@
 
 #include "common/csv.hpp"
 #include "common/log.hpp"
+#include "core/result_record.hpp"
 #include "multicore/tensor_core.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
@@ -12,6 +13,78 @@
 
 namespace scalesim::core
 {
+
+namespace
+{
+
+/**
+ * Writes a result-record walk into an open JSON object or into a stats
+ * registry. Stats: an entry's stat name registers a scalar, a formula
+ * (`num / den`), or, inside a group with a stat name, an element of
+ * that vector.
+ */
+struct RecordWriter
+{
+    obs::JsonWriter* json = nullptr;
+    obs::StatsRegistry* reg = nullptr;
+    /** The enclosing vector-stat group, if any. */
+    const ResultField* vector = nullptr;
+    /** False: leave out nested objects (keyless groups still count). */
+    bool nested = true;
+
+    void
+    field(const ResultField& f, const auto& value)
+    {
+        if (json && f.key && f.use != ResultUse::PayloadOnly)
+            json->field(f.key, value);
+        if constexpr (std::is_arithmetic_v<std::decay_t<decltype(value)>>) {
+            if (reg)
+                stat(f, static_cast<double>(value));
+        }
+    }
+
+    void
+    stat(const ResultField& f, double value)
+    {
+        if (vector && f.use != ResultUse::Derived) {
+            reg->addVectorElem(vector->stat, f.elem ? f.elem : f.key,
+                               vector->desc, value);
+        } else if (!vector && f.num) {
+            obs::FormulaSpec ratio;
+            ratio.numerator = {{f.num, 1.0}};
+            ratio.denominator = {{f.den, 1.0}};
+            reg->addFormula(f.stat, f.desc, std::move(ratio));
+        } else if (!vector && f.stat) {
+            reg->addScalar(f.stat, f.desc, value);
+        }
+    }
+
+    void
+    group(const ResultField& g, bool shown, const auto& body)
+    {
+        if (!shown || g.use == ResultUse::PayloadOnly || (g.key && !nested))
+            return;
+        const ResultField* outer = vector;
+        if (g.stat)
+            vector = &g;
+        if (json && g.key)
+            json->key(g.key).beginObject();
+        body();
+        if (json && g.key)
+            json->endObject();
+        vector = outer;
+    }
+
+    template <typename T>
+    void
+    optional(const ResultField& g, const std::optional<T>& value,
+             const auto& body)
+    {
+        group(g, value.has_value(), [&] { body(*value); });
+    }
+};
+
+} // namespace
 
 Simulator::Simulator(const SimConfig& cfg)
     : cfg_(cfg)
@@ -345,21 +418,8 @@ Simulator::run(const Topology& topology)
     // registry uses, so time-series columns line up with stats.json.
     obs::IntervalSampler sampler(cfg_.intervalCycles);
     auto snapshot = [&](obs::StatsRegistry& snap) {
-        snap.addScalar("sim.totalCycles",
-                       "wall-clock cycles incl. stalls",
-                       static_cast<double>(run.totalCycles));
-        snap.addScalar("sim.computeCycles", "ideal compute cycles",
-                       static_cast<double>(run.computeCycles));
-        snap.addScalar("sim.stallCycles", "memory stall cycles",
-                       static_cast<double>(run.stallCycles));
-        snap.addScalar("sim.dramReadWords", "main-memory words read",
-                       static_cast<double>(run.dramReadWords));
-        snap.addScalar("sim.dramWriteWords",
-                       "main-memory words written",
-                       static_cast<double>(run.dramWriteWords));
-        run.cpiTotals.registerStats(
-            snap, "sim.cpistack",
-            "per-cause cycle attribution (sums to totalCycles)");
+        RecordWriter record{.reg = &snap};
+        walkRunCounters(run, record);
         registerStats(snap);
     };
 
@@ -675,80 +735,14 @@ RunResult::writeEnergyReport(std::ostream& out) const
 void
 RunResult::registerStats(obs::StatsRegistry& reg) const
 {
-    reg.addScalar("sim.layers", "distinct layers simulated",
-                  static_cast<double>(layers.size()));
-    reg.addScalar("sim.totalCycles", "wall-clock cycles incl. stalls",
-                  static_cast<double>(totalCycles));
-    reg.addScalar("sim.computeCycles", "ideal compute cycles",
-                  static_cast<double>(computeCycles));
-    reg.addScalar("sim.stallCycles", "memory stall cycles",
-                  static_cast<double>(stallCycles));
-    reg.addScalar("sim.dramReadWords", "main-memory words read",
-                  static_cast<double>(dramReadWords));
-    reg.addScalar("sim.dramWriteWords", "main-memory words written",
-                  static_cast<double>(dramWriteWords));
-    obs::FormulaSpec stall_frac;
-    stall_frac.numerator = {{"sim.stallCycles", 1.0}};
-    stall_frac.denominator = {{"sim.totalCycles", 1.0}};
-    reg.addFormula("sim.stallFraction", "stalls / total", stall_frac);
-    cpiTotals.registerStats(
-        reg, "sim.cpistack",
-        "per-cause cycle attribution (sums to totalCycles)");
-
+    RecordWriter record{.reg = &reg};
+    walkRunTotals(*this, record);
+    for (const auto& l : layers) {
+        if (l.sparse)
+            walkSparseReport(*l.sparse, record);
+    }
     if (audited)
         audit.registerStats(reg);
-
-    std::uint64_t sparse_layers = 0, dense_k = 0, compressed_k = 0;
-    std::uint64_t original_bits = 0, new_bits = 0, metadata_bits = 0;
-    for (const auto& l : layers) {
-        if (!l.sparse)
-            continue;
-        ++sparse_layers;
-        dense_k += l.sparse->denseK;
-        compressed_k += l.sparse->compressedK;
-        original_bits += l.sparse->originalFilterBits;
-        new_bits += l.sparse->newFilterBits;
-        metadata_bits += l.sparse->metadataBits;
-    }
-    if (sparse_layers > 0) {
-        reg.addScalar("sparse.layers", "layers with sparse filters",
-                      static_cast<double>(sparse_layers));
-        reg.addScalar("sparse.denseK", "summed dense K",
-                      static_cast<double>(dense_k));
-        reg.addScalar("sparse.compressedK", "summed compressed K",
-                      static_cast<double>(compressed_k));
-        reg.addScalar("sparse.originalFilterBits",
-                      "dense filter storage (bits)",
-                      static_cast<double>(original_bits));
-        reg.addScalar("sparse.newFilterBits",
-                      "compressed values + metadata (bits)",
-                      static_cast<double>(new_bits));
-        reg.addScalar("sparse.metadataBits", "metadata storage (bits)",
-                      static_cast<double>(metadata_bits));
-        obs::FormulaSpec compression;
-        compression.numerator = {{"sparse.originalFilterBits", 1.0}};
-        compression.denominator = {{"sparse.newFilterBits", 1.0}};
-        reg.addFormula("sparse.compressionRatio",
-                       "dense / compressed filter bits", compression);
-    }
-
-    if (totalEnergy.totalPj() > 0.0) {
-        const char* desc = "energy by component (pJ)";
-        reg.addVectorElem("energy.breakdown_pJ", "peArray", desc,
-                          totalEnergy.peArray);
-        reg.addVectorElem("energy.breakdown_pJ", "glb", desc,
-                          totalEnergy.glb);
-        reg.addVectorElem("energy.breakdown_pJ", "noc", desc,
-                          totalEnergy.noc);
-        reg.addVectorElem("energy.breakdown_pJ", "dram", desc,
-                          totalEnergy.dram);
-        reg.addVectorElem("energy.breakdown_pJ", "static", desc,
-                          totalEnergy.staticE);
-        reg.addScalar("energy.avgPower_W", "average power (W)",
-                      avgPowerW);
-        reg.addScalar("energy.edp", "energy-delay product (cycles x mJ)",
-                      edp);
-    }
 }
 
 void
@@ -763,106 +757,11 @@ RunResult::writeStatsJson(std::ostream& out) const
     stats.dumpJson(out);
 }
 
-namespace
-{
-
 void
-writeTimingJson(obs::JsonWriter& json, const systolic::LayerTiming& t)
+RunResult::writeRecord(obs::JsonWriter& json, bool layerDetail) const
 {
-    json.beginObject();
-    json.field("folds", static_cast<std::uint64_t>(t.folds));
-    json.field("prefetchStallCycles", t.prefetchStallCycles);
-    json.field("drainStallCycles", t.drainStallCycles);
-    json.field("bandwidthStallCycles", t.bandwidthStallCycles);
-    json.field("dramReadWords", t.dramReadWords);
-    json.field("dramWriteWords", t.dramWriteWords);
-    json.field("dramReadRequests", static_cast<std::uint64_t>(
-        t.dramReadRequests));
-    json.field("dramWriteRequests", static_cast<std::uint64_t>(
-        t.dramWriteRequests));
-    json.field("avgReadLatency", t.avgReadLatency);
-    json.field("readQueueStalls", t.readQueueStalls);
-    json.field("writeQueueStalls", t.writeQueueStalls);
-    json.field("readBandwidth", t.readBandwidth());
-    json.field("writeBandwidth", t.writeBandwidth());
-    json.endObject();
-}
-
-void
-writeCpiJson(obs::JsonWriter& json, const obs::CpiStack& cpi)
-{
-    json.beginObject();
-    for (unsigned i = 0; i < obs::CpiStack::kBucketCount; ++i)
-        json.field(obs::CpiStack::bucketName(i), cpi.bucketValue(i));
-    json.field("total", cpi.total());
-    json.endObject();
-}
-
-void
-writeEnergyJson(obs::JsonWriter& json,
-                const energy::EnergyBreakdown& e)
-{
-    json.beginObject();
-    json.field("peArray_pJ", e.peArray);
-    json.field("glb_pJ", e.glb);
-    json.field("noc_pJ", e.noc);
-    json.field("dram_pJ", e.dram);
-    json.field("static_pJ", e.staticE);
-    json.field("total_pJ", e.totalPj());
-    json.endObject();
-}
-
-} // namespace
-
-void
-RunResult::writeJson(std::ostream& out) const
-{
-    obs::JsonWriter json(out);
-    json.beginObject();
-    json.field("runName", runName);
-    json.field("workload", workload);
-
-    json.key("totals").beginObject();
-    json.field("totalCycles", totalCycles);
-    json.field("computeCycles", computeCycles);
-    json.field("stallCycles", stallCycles);
-    json.field("stallFraction",
-               totalCycles ? static_cast<double>(stallCycles)
-                   / static_cast<double>(totalCycles) : 0.0);
-    json.field("dramReadWords", dramReadWords);
-    json.field("dramWriteWords", dramWriteWords);
-    json.key("cpiStack");
-    writeCpiJson(json, cpiTotals);
-    json.endObject();
-
-    const bool dram_active = dramStats.reads + dramStats.writes > 0;
-    json.key("dram").beginObject();
-    json.field("modeled", dram_active);
-    json.field("reads", static_cast<std::uint64_t>(dramStats.reads));
-    json.field("writes", static_cast<std::uint64_t>(dramStats.writes));
-    json.field("rowHits", static_cast<std::uint64_t>(dramStats.rowHits));
-    json.field("rowMisses", static_cast<std::uint64_t>(
-        dramStats.rowMisses));
-    json.field("rowConflicts", static_cast<std::uint64_t>(
-        dramStats.rowConflicts));
-    json.field("refreshes", static_cast<std::uint64_t>(
-        dramStats.refreshes));
-    json.field("readBytes", dramStats.readBytes);
-    json.field("writeBytes", dramStats.writeBytes);
-    json.field("rowHitRate", dramStats.rowHitRate());
-    json.field("avgReadLatency", dramStats.avgReadLatency());
-    json.endObject();
-
-    if (totalEnergy.totalPj() > 0.0) {
-        json.key("energy").beginObject();
-        json.key("breakdown");
-        writeEnergyJson(json, totalEnergy);
-        json.field("total_mJ", totalEnergy.totalMj());
-        json.field("onChip_mJ", totalEnergy.onChipMj());
-        json.field("avgPower_W", avgPowerW);
-        json.field("edp", edp);
-        json.endObject();
-    }
+    RecordWriter record{.json = &json};
+    walkRunTotals(*this, record);
 
     if (audited) {
         json.key("audit").beginObject();
@@ -880,52 +779,16 @@ RunResult::writeJson(std::ostream& out) const
         json.endObject();
     }
 
+    record.nested = layerDetail;
     json.key("layers").beginArray();
     for (const auto& l : layers) {
         json.beginObject();
-        json.field("name", l.name);
-        json.field("repetitions", l.repetitions);
-        json.key("gemm").beginObject();
-        json.field("m", l.denseGemm.m);
-        json.field("n", l.denseGemm.n);
-        json.field("k", l.denseGemm.k);
-        json.field("effectiveK", l.effectiveGemm.k);
-        json.endObject();
-        json.field("computeCycles", l.computeCycles);
-        json.field("simdCycles", l.simdCycles);
-        json.field("totalCycles", l.totalCycles);
-        json.field("stallCycles", l.stallCycles);
-        json.field("utilization", l.utilization);
-        json.field("speedup", l.speedup);
-        json.field("mappingEfficiency", l.mappingEfficiency);
-        json.field("layoutSlowdown", l.layoutSlowdown);
-        json.key("cpiStack");
-        writeCpiJson(json, l.cpi);
-        json.key("timing");
-        writeTimingJson(json, l.timing);
-        if (l.sparse) {
-            const auto& s = *l.sparse;
-            json.key("sparse").beginObject();
-            json.field("representation", s.representation);
-            json.field("ratioN", s.ratioN);
-            json.field("ratioM", s.ratioM);
-            json.field("denseK", s.denseK);
-            json.field("compressedK", s.compressedK);
-            json.field("originalFilterBits", s.originalFilterBits);
-            json.field("newFilterBits", s.newFilterBits);
-            json.field("metadataBits", s.metadataBits);
-            json.endObject();
-        }
-        if (l.energyBreakdown.totalPj() > 0.0) {
-            json.key("energy");
-            writeEnergyJson(json, l.energyBreakdown);
-            json.field("power_W", l.powerW);
-        }
+        walkLayerResult(l, record);
         json.endObject();
     }
     json.endArray();
 
-    if (!powerTrace.empty()) {
+    if (layerDetail && !powerTrace.empty()) {
         json.key("powerTrace").beginArray();
         for (const auto& sample : powerTrace) {
             json.beginObject();
@@ -936,7 +799,14 @@ RunResult::writeJson(std::ostream& out) const
         }
         json.endArray();
     }
+}
 
+void
+RunResult::writeJson(std::ostream& out) const
+{
+    obs::JsonWriter json(out);
+    json.beginObject();
+    writeRecord(json);
     json.key("profile").beginObject();
     json.field("layersProfiled", profile.layersProfiled);
     json.field("totalSeconds", profile.totalSeconds);
@@ -949,7 +819,6 @@ RunResult::writeJson(std::ostream& out) const
     json.field("other", profile.otherSeconds());
     json.endObject();
     json.endObject();
-
     json.endObject();
     out << '\n';
 }

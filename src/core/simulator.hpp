@@ -25,6 +25,7 @@
 #include "layout/layout.hpp"
 #include "obs/cpi.hpp"
 #include "obs/interval.hpp"
+#include "obs/json.hpp"
 #include "obs/stats.hpp"
 #include "sparse/model.hpp"
 #include "systolic/scratchpad.hpp"
@@ -148,9 +149,18 @@ struct RunResult
     void writeStatsJson(std::ostream& out) const;
 
     /**
-     * Machine-readable run report: everything the five text reports
-     * print, as one JSON document (totals, per-layer results, DRAM
-     * stats, energy breakdowns, power trace, self-profile).
+     * The run's result record as members of the open JSON object:
+     * totals, DRAM stats, energy, audit, per-layer results and the
+     * power trace, walked from core/result_record.hpp. Deterministic:
+     * no wall-clock self-profile. Without `layerDetail`, each layer
+     * keeps only its top-level numbers (no gemm, cpiStack, timing,
+     * sparse or energy object) and the power trace is left out.
+     */
+    void writeRecord(obs::JsonWriter& json, bool layerDetail = true) const;
+
+    /**
+     * Machine-readable run report: one JSON document holding
+     * writeRecord plus the wall-clock `profile`.
      */
     void writeJson(std::ostream& out) const;
 

@@ -1,43 +1,56 @@
 #include "obs/cpi.hpp"
 
+#include <utility>
+
 #include "common/log.hpp"
 #include "obs/stats.hpp"
 
 namespace scalesim::obs
 {
 
+namespace
+{
+
+/** Bucket names and members, in bucket order. */
+constexpr std::pair<const char*, std::uint64_t CpiStack::*>
+    kBuckets[CpiStack::kBucketCount] = {
+        {"compute", &CpiStack::compute},
+        {"vector", &CpiStack::vectorUnit},
+        {"drain", &CpiStack::drain},
+        {"bandwidth", &CpiStack::bandwidth},
+        {"prefetchMiss", &CpiStack::prefetchMiss},
+        {"l2Wait", &CpiStack::l2Wait},
+        {"dramQueue", &CpiStack::dramQueue},
+        {"dramService", &CpiStack::dramService},
+        {"refresh", &CpiStack::refresh},
+};
+
+const std::pair<const char*, std::uint64_t CpiStack::*>&
+bucketEntry(unsigned i)
+{
+    if (i >= CpiStack::kBucketCount)
+        panic("CpiStack bucket index %u out of range", i);
+    return kBuckets[i];
+}
+
+} // namespace
+
 const char*
 CpiStack::bucketName(unsigned i)
 {
-    switch (i) {
-      case 0: return "compute";
-      case 1: return "vector";
-      case 2: return "drain";
-      case 3: return "bandwidth";
-      case 4: return "prefetchMiss";
-      case 5: return "l2Wait";
-      case 6: return "dramQueue";
-      case 7: return "dramService";
-      case 8: return "refresh";
-    }
-    panic("CpiStack bucket index %u out of range", i);
+    return bucketEntry(i).first;
 }
 
-std::uint64_t
-CpiStack::bucketValue(unsigned i) const
+std::uint64_t&
+CpiStack::bucket(unsigned i)
 {
-    switch (i) {
-      case 0: return compute;
-      case 1: return vectorUnit;
-      case 2: return drain;
-      case 3: return bandwidth;
-      case 4: return prefetchMiss;
-      case 5: return l2Wait;
-      case 6: return dramQueue;
-      case 7: return dramService;
-      case 8: return refresh;
-    }
-    panic("CpiStack bucket index %u out of range", i);
+    return this->*bucketEntry(i).second;
+}
+
+const std::uint64_t&
+CpiStack::bucket(unsigned i) const
+{
+    return this->*bucketEntry(i).second;
 }
 
 std::uint64_t
@@ -45,22 +58,15 @@ CpiStack::total() const
 {
     std::uint64_t sum = 0;
     for (unsigned i = 0; i < kBucketCount; ++i)
-        sum += bucketValue(i);
+        sum += bucket(i);
     return sum;
 }
 
 void
 CpiStack::accumulate(const CpiStack& other, std::uint64_t reps)
 {
-    compute += other.compute * reps;
-    vectorUnit += other.vectorUnit * reps;
-    drain += other.drain * reps;
-    bandwidth += other.bandwidth * reps;
-    prefetchMiss += other.prefetchMiss * reps;
-    l2Wait += other.l2Wait * reps;
-    dramQueue += other.dramQueue * reps;
-    dramService += other.dramService * reps;
-    refresh += other.refresh * reps;
+    for (unsigned i = 0; i < kBucketCount; ++i)
+        bucket(i) += other.bucket(i) * reps;
 }
 
 void
@@ -69,7 +75,7 @@ CpiStack::registerStats(StatsRegistry& reg, std::string_view name,
 {
     for (unsigned i = 0; i < kBucketCount; ++i) {
         reg.addVectorElem(name, bucketName(i), desc,
-                          static_cast<double>(bucketValue(i)));
+                          static_cast<double>(bucket(i)));
     }
 }
 

@@ -43,7 +43,10 @@ struct CpiStack
     /** Stable bucket name for element `i` (registration order). */
     static const char* bucketName(unsigned i);
 
-    std::uint64_t bucketValue(unsigned i) const;
+    /** Bucket `i` itself (bucketName order). */
+    std::uint64_t& bucket(unsigned i);
+    const std::uint64_t& bucket(unsigned i) const;
+    std::uint64_t bucketValue(unsigned i) const { return bucket(i); }
 
     /** Sum of every bucket — the conserved quantity. */
     std::uint64_t total() const;

@@ -59,6 +59,21 @@ LayerResultCache::insert(std::uint64_t key, std::string payload)
 }
 
 void
+LayerResultCache::discardUndecodable(std::uint64_t key)
+{
+    MutexLock lock(mutex_);
+    --stats_.hits;
+    ++stats_.misses;
+    ++stats_.undecodable;
+    auto it = entries_.find(key);
+    if (it == entries_.end())
+        return; // a concurrent worker discarded it first
+    bytes_ -= it->second.payload.size();
+    lru_.erase(it->second.lruPos);
+    entries_.erase(it);
+}
+
+void
 LayerResultCache::evictToBudget()
 {
     if (budgetBytes_ == 0)
@@ -87,26 +102,11 @@ void
 LayerResultCache::registerStats(obs::StatsRegistry& reg,
                                 const std::string& prefix) const
 {
-    const CacheStats snap = stats();
-    reg.addScalar(prefix + ".hits", "layer results served from cache",
-                  static_cast<double>(snap.hits));
-    reg.addScalar(prefix + ".misses", "layer lookups that simulated",
-                  static_cast<double>(snap.misses));
-    reg.addScalar(prefix + ".inserts", "entries inserted",
-                  static_cast<double>(snap.inserts));
-    reg.addScalar(prefix + ".evictions",
-                  "entries evicted by the LRU byte budget",
-                  static_cast<double>(snap.evictions));
-    reg.addScalar(prefix + ".loadedEntries",
-                  "entries accepted from a persisted cache file",
-                  static_cast<double>(snap.loadedEntries));
-    reg.addScalar(prefix + ".loadRejected",
-                  "persisted entries rejected as corrupt",
-                  static_cast<double>(snap.loadRejected));
-    reg.addScalar(prefix + ".bytes", "payload bytes currently held",
-                  static_cast<double>(snap.bytes));
-    reg.addScalar(prefix + ".entries", "entries currently held",
-                  static_cast<double>(snap.entries));
+    stats().forEachCounter(
+        [&](const char* name, const char* desc, std::uint64_t value) {
+            reg.addScalar(prefix + "." + name, desc,
+                          static_cast<double>(value));
+        });
     obs::FormulaSpec hit_rate;
     hit_rate.numerator = {{prefix + ".hits", 1.0}};
     hit_rate.denominator = {{prefix + ".hits", 1.0},

@@ -54,6 +54,8 @@ struct CacheStats
     std::uint64_t loadedEntries = 0;
     /** Persisted entries rejected (bad checksum, truncation, ...). */
     std::uint64_t loadRejected = 0;
+    /** Hits whose payload failed to decode (counted as misses). */
+    std::uint64_t undecodable = 0;
     /** Current payload bytes held (excludes per-entry overhead). */
     std::uint64_t bytes = 0;
     std::uint64_t entries = 0;
@@ -63,6 +65,29 @@ struct CacheStats
     {
         const std::uint64_t lookups = hits + misses;
         return lookups ? static_cast<double>(hits) / lookups : 0.0;
+    }
+
+    /**
+     * Each counter as `fn(name, description, value)`: the one list
+     * behind registerStats and the server's `stats` reply.
+     */
+    template <typename Fn>
+    void
+    forEachCounter(Fn&& fn) const
+    {
+        fn("hits", "layer results served from cache", hits);
+        fn("misses", "layer lookups that simulated", misses);
+        fn("inserts", "entries inserted", inserts);
+        fn("evictions", "entries evicted by the LRU byte budget",
+           evictions);
+        fn("loadedEntries", "entries accepted from a persisted cache file",
+           loadedEntries);
+        fn("loadRejected", "persisted entries rejected as corrupt",
+           loadRejected);
+        fn("undecodable", "hits whose payload failed to decode",
+           undecodable);
+        fn("bytes", "payload bytes currently held", bytes);
+        fn("entries", "entries currently held", entries);
     }
 };
 
@@ -90,6 +115,13 @@ class LayerResultCache
      */
     void insert(std::uint64_t key, std::string payload)
         SIM_EXCLUDES(mutex_);
+
+    /**
+     * Drop the entry a lookup just returned because its payload did not
+     * decode: that lookup counts as a miss instead of a hit, and as
+     * `undecodable`. The caller then inserts a fresh payload.
+     */
+    void discardUndecodable(std::uint64_t key) SIM_EXCLUDES(mutex_);
 
     CacheStats stats() const SIM_EXCLUDES(mutex_);
 

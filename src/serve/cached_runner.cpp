@@ -7,6 +7,7 @@
 #include "common/hash.hpp"
 #include "common/log.hpp"
 #include "common/serialize.hpp"
+#include "core/result_record.hpp"
 
 namespace scalesim::serve
 {
@@ -77,113 +78,77 @@ layerCacheKey(const SimConfig& cfg, const LayerSpec& layer,
 namespace
 {
 
-/** Encoding direction of walkLayerPayload. */
+/** Encoding direction of the payload codec. */
 struct PayloadWriter
 {
     ByteWriter out;
 
-    void operator()(const auto&... fields) { (put(fields), ...); }
-
-    /** Presence byte, then the value's fields if present. */
-    template <typename T>
-    const T*
-    optional(const std::optional<T>& value)
+    void
+    field(const core::ResultField& f, const auto& value)
     {
-        out.put(static_cast<std::uint8_t>(value.has_value()));
-        return value ? &*value : nullptr;
+        if (f.use == core::ResultUse::JsonOnly
+            || f.use == core::ResultUse::Derived)
+            return;
+        if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                     std::string>)
+            out.putString(value);
+        else
+            out.put(value);
     }
 
-  private:
-    void put(const std::string& text) { out.putString(text); }
-    void put(const auto& value) { out.put(value); }
+    void group(const core::ResultField&, bool, const auto& body) { body(); }
+
+    /** Presence byte, then the value's entries if present. */
+    template <typename T>
+    void
+    optional(const core::ResultField&, const std::optional<T>& value,
+             const auto& body)
+    {
+        out.put(static_cast<std::uint8_t>(value.has_value()));
+        if (value)
+            body(*value);
+    }
 };
 
-/** Decoding direction of walkLayerPayload. */
+/** Decoding direction of the payload codec. */
 struct PayloadReader
 {
     ByteReader in;
 
-    void operator()(auto&... fields) { (get(fields), ...); }
-
-    template <typename T>
-    T*
-    optional(std::optional<T>& value)
+    void
+    field(const core::ResultField& f, auto&& value)
     {
-        return in.get<std::uint8_t>() != 0 ? &value.emplace() : nullptr;
+        using T = std::remove_cvref_t<decltype(value)>;
+        if (f.use == core::ResultUse::JsonOnly
+            || f.use == core::ResultUse::Derived)
+            return;
+        if constexpr (std::is_same_v<T, std::string>)
+            value = in.getString();
+        else
+            value = in.get<T>();
     }
 
-  private:
-    void get(std::string& text) { text = in.getString(); }
+    void group(const core::ResultField&, bool, const auto& body) { body(); }
+
     template <typename T>
-    void get(T& value) { value = in.get<T>(); }
+    void
+    optional(const core::ResultField&, std::optional<T>& value,
+             const auto& body)
+    {
+        if (in.get<std::uint8_t>() != 0)
+            body(value.emplace());
+    }
 };
 
-/**
- * The layer payload's fields in wire order, walked by PayloadWriter
- * (const `r`/`ds`) or PayloadReader: one layer's isolated evaluation
- * minus its display name/repetitions (patched at hit time), then the
- * DRAM stats of the isolated run. Each field is stored at its declared
- * width and doubles as bit patterns, so the round trip is lossless and
- * cached results are bit-identical to freshly simulated ones.
- */
-void
-walkLayerPayload(auto& io, auto& r, auto& ds)
-{
-    auto cpi = [&](auto& c) {
-        io(c.compute, c.vectorUnit, c.drain, c.bandwidth, c.prefetchMiss,
-           c.l2Wait, c.dramQueue, c.dramService, c.refresh);
-    };
-    auto sram = [&](auto& a) {
-        io(a.readRandom, a.readRepeat, a.writeRandom, a.writeRepeat,
-           a.idle);
-    };
-    io(r.denseGemm.m, r.denseGemm.n, r.denseGemm.k, r.effectiveGemm.m,
-       r.effectiveGemm.n, r.effectiveGemm.k, r.computeCycles,
-       r.simdCycles, r.totalCycles, r.stallCycles, r.utilization,
-       r.speedup, r.mappingEfficiency, r.layoutSlowdown);
-    cpi(r.cpi);
+} // namespace
 
-    auto& t = r.timing;
-    io(t.computeCycles, t.totalCycles, t.stallCycles,
-       t.prefetchStallCycles, t.drainStallCycles, t.bandwidthStallCycles);
-    cpi(t.cpi);
-    io(t.folds, t.dramReadWords, t.dramWriteWords, t.dramReadRequests,
-       t.dramWriteRequests, t.avgReadLatency, t.readQueueStalls,
-       t.writeQueueStalls);
-
-    if (auto* s = io.optional(r.sparse)) {
-        io(s->representation, s->ratioN, s->ratioM, s->denseK,
-           s->compressedK, s->originalFilterBits, s->newFilterBits,
-           s->metadataBits);
-    }
-
-    auto& a = r.actions;
-    io(a.macRandom, a.macConstant, a.macGated, a.ifmapSpadRead,
-       a.ifmapSpadWrite, a.weightSpadRead, a.weightSpadWrite,
-       a.psumSpadRead, a.psumSpadWrite);
-    sram(a.ifmapSram);
-    sram(a.filterSram);
-    sram(a.ofmapSram);
-    io(a.vectorOps, a.dramReadWords, a.dramWriteWords, a.nocWords,
-       a.cycles);
-
-    auto& e = r.energyBreakdown;
-    io(e.peArray, e.glb, e.noc, e.dram, e.staticE, r.powerW);
-
-    io(ds.reads, ds.writes, ds.rowHits, ds.rowMisses, ds.rowConflicts,
-       ds.refreshes, ds.readBytes, ds.writeBytes, ds.totalReadLatency,
-       ds.readQueueWait, ds.readRefreshWait, ds.readServiceTime,
-       ds.firstArrival, ds.lastCompletion);
-}
-
-/** Payload: walkLayerPayload's fields, then the component stats. */
 std::string
-encodeLayerPayload(const core::LayerResult& r,
-                   const dram::DramStats& ds,
+encodeLayerPayload(const core::LayerResult& r, const dram::DramStats& ds,
                    const obs::StatsRegistry& comp)
 {
     PayloadWriter io;
-    walkLayerPayload(io, r, ds);
+    core::walkLayerResult(r, io);
+    core::walkDramStats(ds, io);
     comp.serialize(io.out);
     return io.out.take();
 }
@@ -193,11 +158,10 @@ decodeLayerPayload(const std::string& payload, core::LayerResult& r,
                    dram::DramStats& ds, obs::StatsRegistry& comp)
 {
     PayloadReader io{ByteReader(payload)};
-    walkLayerPayload(io, r, ds);
+    core::walkLayerResult(r, io);
+    core::walkDramStats(ds, io);
     return comp.deserialize(io.in) && io.in.atEnd();
 }
-
-} // namespace
 
 core::RunResult
 runTopologyCached(const SimConfig& cfg, const Topology& topology,
@@ -238,10 +202,12 @@ runTopologyCached(const SimConfig& cfg, const Topology& topology,
                 decodeLayerPayload(payload, layer, layer_dram, comp);
             if (!decoded) {
                 // A payload that decodes badly (stale schema, bit rot
-                // that beat the checksum) degrades to a miss.
+                // that beat the checksum) degrades to a miss, and the
+                // fresh payload below replaces it.
                 warn("cache payload for key %016llx undecodable, "
                      "re-simulating",
                      static_cast<unsigned long long>(key));
+                use->discardUndecodable(key);
                 layer = core::LayerResult{};
                 layer_dram = dram::DramStats{};
                 comp.clear();

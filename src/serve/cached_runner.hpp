@@ -42,6 +42,22 @@ std::uint64_t layerCacheKey(const SimConfig& cfg, const LayerSpec& layer,
                             std::uint64_t layer_index);
 
 /**
+ * The layer-cache payload of one isolated layer evaluation: the
+ * payload entries of core::walkLayerResult and core::walkDramStats in
+ * wire order, each at its declared width (doubles as bit patterns),
+ * then the component stats registry. The layer's display name and
+ * repetitions are left out; the runner patches them at hit time.
+ */
+std::string encodeLayerPayload(const core::LayerResult& layer,
+                               const dram::DramStats& dram,
+                               const obs::StatsRegistry& components);
+
+/** Inverse of encodeLayerPayload; false on a malformed payload. */
+bool decodeLayerPayload(const std::string& payload,
+                        core::LayerResult& layer, dram::DramStats& dram,
+                        obs::StatsRegistry& components);
+
+/**
  * Evaluate a topology with layer-isolated semantics, consulting (and
  * filling) `cache` when non-null. Audit, interval sampling, and
  * fold-span recording are incompatible with cached evaluation; those

@@ -202,45 +202,27 @@ writeFlatStats(obs::JsonWriter& json, const obs::StatsRegistry& stats)
 }
 
 /**
- * Run/sweep result writers. Deliberately free of cache counters and
- * wall-clock self-profiling: identical requests must yield
- * byte-identical response lines whether served cold or warm.
+ * The request's "cache" flag: absent means use the cache. Read once for
+ * `run` and `sweep`; a non-boolean is an error rather than a silent
+ * bypass.
  */
-void
-writeRunResult(obs::JsonWriter& json, const core::RunResult& run)
+bool
+cacheRequested(const obs::JsonValue& req)
 {
-    json.field("workload", run.workload);
-    json.key("totals").beginObject();
-    json.field("totalCycles", run.totalCycles);
-    json.field("computeCycles", run.computeCycles);
-    json.field("stallCycles", run.stallCycles);
-    json.field("dramReadWords", run.dramReadWords);
-    json.field("dramWriteWords", run.dramWriteWords);
-    json.endObject();
-    if (run.totalEnergy.totalPj() > 0.0) {
-        json.key("energy").beginObject();
-        json.field("total_mJ", run.totalEnergy.totalMj());
-        json.field("onChip_mJ", run.totalEnergy.onChipMj());
-        json.field("avgPower_W", run.avgPowerW);
-        json.field("edp", run.edp);
-        json.endObject();
-    }
-    json.key("layers").beginArray();
-    for (const auto& l : run.layers) {
-        json.beginObject();
-        json.field("name", l.name);
-        json.field("repetitions", l.repetitions);
-        json.field("computeCycles", l.computeCycles);
-        json.field("simdCycles", l.simdCycles);
-        json.field("totalCycles", l.totalCycles);
-        json.field("stallCycles", l.stallCycles);
-        json.field("utilization", l.utilization);
-        json.endObject();
-    }
-    json.endArray();
-    writeFlatStats(json, run.stats);
+    const obs::JsonValue* flag = req.find("cache");
+    if (!flag)
+        return true;
+    if (flag->kind != obs::JsonValue::Kind::Bool)
+        throw std::runtime_error("'cache' must be true or false");
+    return flag->boolean;
 }
 
+/**
+ * Sweep result writer. Like the `run` reply, deliberately free of
+ * cache counters and wall-clock self-profiling: identical requests
+ * must yield byte-identical response lines whether served cold or
+ * warm.
+ */
 void
 writeSweepResult(obs::JsonWriter& json,
                  const std::vector<core::DseDetailedPoint>& detailed)
@@ -330,15 +312,11 @@ Server::handleRequest(const std::string& line)
             json.field("errors",
                        static_cast<std::uint64_t>(errors_.load()));
             json.key("cache").beginObject();
-            json.field("hits", snap.hits);
-            json.field("misses", snap.misses);
+            snap.forEachCounter(
+                [&](const char* name, const char*, std::uint64_t value) {
+                    json.field(name, value);
+                });
             json.field("hitRate", snap.hitRate());
-            json.field("inserts", snap.inserts);
-            json.field("evictions", snap.evictions);
-            json.field("loadedEntries", snap.loadedEntries);
-            json.field("loadRejected", snap.loadRejected);
-            json.field("bytes", snap.bytes);
-            json.field("entries", snap.entries);
             json.endObject();
             json.endObject();
         } else if (type == "shutdown") {
@@ -351,8 +329,8 @@ Server::handleRequest(const std::string& line)
             const SimConfig cfg =
                 configFromRequest(options_.baseConfig, req);
             const Topology topo = topologyFromRequest(req);
-            const bool use_cache = req.find("cache") == nullptr
-                || req.find("cache")->boolean;
+            LayerResultCache* cache =
+                cacheRequested(req) ? &cache_ : nullptr;
             json.field("ok", true);
             json.key("result").beginObject();
             if (options_.dryRun) {
@@ -361,9 +339,12 @@ Server::handleRequest(const std::string& line)
                 json.field("layers", static_cast<std::uint64_t>(
                                          topo.layers.size()));
             } else {
-                const core::RunResult run = runTopologyCached(
-                    cfg, topo, use_cache ? &cache_ : nullptr);
-                writeRunResult(json, run);
+                // The `--json` record minus its wall-clock profile and
+                // per-layer detail, plus the flat stats.
+                const core::RunResult run =
+                    runTopologyCached(cfg, topo, cache);
+                run.writeRecord(json, /*layerDetail=*/false);
+                writeFlatStats(json, run.stats);
             }
             json.endObject();
         } else if (type == "sweep") {
@@ -388,8 +369,8 @@ Server::handleRequest(const std::string& line)
                 sweep.sramKbTotals = sweepAxis<std::uint64_t>(*srams,
                                                               "sramKb");
             const Topology topo = topologyFromRequest(req);
-            const bool use_cache = req.find("cache") == nullptr
-                || req.find("cache")->boolean;
+            LayerResultCache* cache =
+                cacheRequested(req) ? &cache_ : nullptr;
             json.field("ok", true);
             json.key("result").beginObject();
             if (options_.dryRun) {
@@ -402,8 +383,8 @@ Server::handleRequest(const std::string& line)
                         * sweep.dataflows.size()
                         * sweep.sramKbTotals.size()));
             } else {
-                const auto detailed = runSweepCachedDetailed(
-                    sweep, topo, use_cache ? &cache_ : nullptr);
+                const auto detailed =
+                    runSweepCachedDetailed(sweep, topo, cache);
                 writeSweepResult(json, detailed);
             }
             json.endObject();

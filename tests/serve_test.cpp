@@ -1,10 +1,11 @@
 /**
  * @file
  * Sweep server and layer-result cache tests: cache-key discrimination
- * and invariance, byte-identical cached-vs-uncached evaluation, LRU
- * eviction, corruption-tolerant persistence, StatsRegistry binary
- * round-trips, the ndjson request protocol, and concurrent request
- * handling (run under TSan in CI).
+ * and invariance, byte-identical cached-vs-uncached evaluation, the
+ * result-record table and its payload codec, LRU eviction,
+ * corruption-tolerant persistence, StatsRegistry binary round-trips,
+ * the ndjson request protocol, and concurrent request handling (run
+ * under TSan in CI).
  */
 
 #include <gtest/gtest.h>
@@ -12,14 +13,18 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/serialize.hpp"
 #include "common/workloads.hpp"
 #include "core/dse.hpp"
+#include "core/result_record.hpp"
 #include "obs/json_read.hpp"
 #include "obs/stats.hpp"
 #include "serve/cache.hpp"
@@ -106,8 +111,8 @@ reports(const core::RunResult& run)
 }
 
 /** A run's writeJson document minus its wall-clock self-profile. */
-std::string
-runJson(const core::RunResult& run)
+obs::JsonValue
+runDoc(const core::RunResult& run)
 {
     std::ostringstream text;
     run.writeJson(text);
@@ -115,7 +120,13 @@ runJson(const core::RunResult& run)
     EXPECT_TRUE(obs::parseJson(text.str(), doc));
     EXPECT_NE(doc.find("layers"), nullptr);
     EXPECT_EQ(doc.members.erase("profile"), 1u);
-    return jsoncheck::canonical(doc);
+    return doc;
+}
+
+std::string
+runJson(const core::RunResult& run)
+{
+    return jsoncheck::canonical(runDoc(run));
 }
 
 std::string
@@ -332,6 +343,31 @@ TEST(CachedRunner, RunMatchesCachedRunByteForByte)
     EXPECT_TRUE(warm.dramStats == plain.dramStats);
 }
 
+TEST(CachedRunner, UndecodablePayloadIsReplaced)
+{
+    // A payload that failed to decode used to count as a hit and stay
+    // cached, so every later run re-simulated the layer.
+    const SimConfig cfg = baseConfig();
+    Topology topo = smallTopology();
+    topo.layers.resize(1);
+    LayerResultCache cache;
+    cache.insert(layerCacheKey(cfg, topo.layers[0], 0), "garbage");
+
+    (void)runTopologyCached(cfg, topo, &cache);
+    CacheStats stats = cache.stats();
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.undecodable, 1u);
+
+    const core::RunResult warm = runTopologyCached(cfg, topo, &cache);
+    stats = cache.stats();
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.undecodable, 1u);
+    const core::RunResult plain = runTopologyCached(cfg, topo, nullptr);
+    EXPECT_EQ(runJson(warm), runJson(plain));
+    EXPECT_TRUE(warm.layers == plain.layers);
+}
+
 TEST(CachedRunner, AuditConfigBypassesCache)
 {
     SimConfig cfg = baseConfig();
@@ -343,6 +379,244 @@ TEST(CachedRunner, AuditConfigBypassesCache)
     EXPECT_TRUE(run.audit.clean());
     EXPECT_EQ(cache.stats().inserts, 0u)
         << "audited runs must not populate the cache";
+}
+
+// ---------------------------------------------------------------------
+// The result-record table (core/result_record.hpp) and its codec.
+
+namespace
+{
+
+/**
+ * A layer record and its DRAM stats with every member set to a
+ * distinct non-default value, so a member the table misses, or walks
+ * in the wrong direction, breaks a round trip.
+ */
+void
+filledRecord(core::LayerResult& r, dram::DramStats& ds)
+{
+    // Member values: 101, 102, ... in declaration order (doubles as
+    // n + 0.25), so the payload digest below is reproducible.
+    std::uint64_t next = 100;
+    auto u = [&next] { return ++next; };
+    auto d = [&next] { return static_cast<double>(++next) + 0.25; };
+    auto cpi = [&](obs::CpiStack& c) {
+        c = {u(), u(), u(), u(), u(), u(), u(), u(), u()};
+    };
+    auto sram = [&](energy::SramActionCounts& s) {
+        s = {u(), u(), u(), u(), u()};
+    };
+
+    r.denseGemm = {u(), u(), u()};
+    r.effectiveGemm = {u(), u(), u()};
+    r.computeCycles = u();
+    r.simdCycles = u();
+    r.totalCycles = u();
+    r.stallCycles = u();
+    r.utilization = d();
+    r.speedup = d();
+    r.mappingEfficiency = d();
+    r.layoutSlowdown = d();
+    cpi(r.cpi);
+    auto& t = r.timing;
+    t.computeCycles = u();
+    t.totalCycles = u();
+    t.stallCycles = u();
+    t.prefetchStallCycles = u();
+    t.drainStallCycles = u();
+    t.bandwidthStallCycles = u();
+    cpi(t.cpi);
+    t.folds = u();
+    t.dramReadWords = u();
+    t.dramWriteWords = u();
+    t.dramReadRequests = u();
+    t.dramWriteRequests = u();
+    t.avgReadLatency = d();
+    t.readQueueStalls = u();
+    t.writeQueueStalls = u();
+    auto& s = r.sparse.emplace();
+    s.representation = "ellpack_block";
+    s.ratioN = static_cast<std::uint32_t>(u());
+    s.ratioM = static_cast<std::uint32_t>(u());
+    s.denseK = u();
+    s.compressedK = u();
+    s.originalFilterBits = u();
+    s.newFilterBits = u();
+    s.metadataBits = u();
+    auto& a = r.actions;
+    a.macRandom = u();
+    a.macConstant = u();
+    a.macGated = u();
+    a.ifmapSpadRead = u();
+    a.ifmapSpadWrite = u();
+    a.weightSpadRead = u();
+    a.weightSpadWrite = u();
+    a.psumSpadRead = u();
+    a.psumSpadWrite = u();
+    sram(a.ifmapSram);
+    sram(a.filterSram);
+    sram(a.ofmapSram);
+    a.vectorOps = u();
+    a.dramReadWords = u();
+    a.dramWriteWords = u();
+    a.nocWords = u();
+    a.cycles = u();
+    r.energyBreakdown = {d(), d(), d(), d(), d()};
+    r.powerW = d();
+
+    ds.reads = u();
+    ds.writes = u();
+    ds.rowHits = u();
+    ds.rowMisses = u();
+    ds.rowConflicts = u();
+    ds.refreshes = u();
+    ds.readBytes = u();
+    ds.writeBytes = u();
+    ds.totalReadLatency = u();
+    ds.readQueueWait = u();
+    ds.readRefreshWait = u();
+    ds.readServiceTime = u();
+    ds.firstArrival = u();
+    ds.lastCompletion = u();
+    // Left out of the payload: patched from the request at hit time.
+    r.name = "layer";
+    r.repetitions = 3;
+    s.layerName = "layer";
+}
+
+} // namespace
+
+TEST(ResultRecord, CodecRoundTripsEveryMember)
+{
+    core::LayerResult r;
+    dram::DramStats ds;
+    filledRecord(r, ds);
+    obs::StatsRegistry comp;
+    comp.addScalar("spad.reads", "reads", 12.5);
+
+    core::LayerResult back;
+    dram::DramStats back_dram;
+    obs::StatsRegistry back_comp;
+    ASSERT_TRUE(decodeLayerPayload(encodeLayerPayload(r, ds, comp), back,
+                                   back_dram, back_comp));
+    back.name = r.name;
+    back.repetitions = r.repetitions;
+    ASSERT_TRUE(back.sparse.has_value());
+    back.sparse->layerName = r.sparse->layerName;
+    EXPECT_TRUE(back == r);
+    EXPECT_TRUE(back_dram == ds);
+    EXPECT_EQ(dump(back_comp), dump(comp));
+
+    // A dense layer round-trips without its sparse report.
+    r.sparse.reset();
+    core::LayerResult dense;
+    ASSERT_TRUE(decodeLayerPayload(encodeLayerPayload(r, ds, comp), dense,
+                                   back_dram, back_comp));
+    dense.name = r.name;
+    dense.repetitions = r.repetitions;
+    EXPECT_TRUE(dense == r);
+}
+
+TEST(ResultRecord, PayloadBytesArePinned)
+{
+    // The payload is the persisted cache format: these digests were
+    // taken from the hand-written codec the table replaced, so a moved
+    // or re-typed payload entry fails here (and would need a new
+    // kCacheSchemaVersion) instead of misreading persisted caches.
+    core::LayerResult r;
+    dram::DramStats ds;
+    filledRecord(r, ds);
+    const obs::StatsRegistry comp;
+    const std::string sparse = encodeLayerPayload(r, ds, comp);
+    r.sparse.reset();
+    const std::string dense = encodeLayerPayload(r, ds, comp);
+    EXPECT_EQ(Fnv1a::of(sparse.data(), sparse.size()), 10706315151079960249ull);
+    EXPECT_EQ(Fnv1a::of(dense.data(), dense.size()), 8442272622671900559ull);
+}
+
+namespace
+{
+
+/**
+ * Walks the table counting each JSON key per enclosing object and each
+ * stat name the way RunResult::registerStats registers it.
+ */
+struct TableCensus
+{
+    std::vector<std::string> path{""};
+    std::map<std::string, int> keys;
+    std::map<std::string, int> stats;
+    const core::ResultField* vector = nullptr;
+
+    void
+    field(const core::ResultField& f, const auto&)
+    {
+        if (f.key)
+            ++keys[path.back() + "/" + f.key];
+        if (vector && f.use != core::ResultUse::Derived)
+            ++stats[std::string(vector->stat) + "::"
+                    + (f.elem ? f.elem : f.key)];
+        else if (!vector && f.stat)
+            ++stats[f.stat];
+    }
+
+    void
+    group(const core::ResultField& g, bool, const auto& body)
+    {
+        const core::ResultField* outer = vector;
+        if (g.key) {
+            ++keys[path.back() + "/" + g.key];
+            path.push_back(path.back() + "/" + g.key);
+        }
+        if (g.stat) {
+            ++stats[g.stat];
+            vector = &g;
+        }
+        body();
+        vector = outer;
+        if (g.key)
+            path.pop_back();
+    }
+
+    template <typename T>
+    void
+    optional(const core::ResultField& g, const std::optional<T>& value,
+             const auto& body)
+    {
+        group(g, true, [&] { body(*value); });
+    }
+};
+
+} // namespace
+
+TEST(ResultRecord, KeysAreUniquePerObjectAndStatsNamedOnce)
+{
+    core::RunResult run;
+    core::LayerResult layer;
+    layer.sparse.emplace();
+    TableCensus census;
+    core::walkRunTotals(run, census);
+    census.path = {"/layers"};
+    core::walkLayerResult(layer, census);
+    census.path = {"registerStats"};
+    core::walkSparseReport(*layer.sparse, census);
+
+    for (const auto& [key, count] : census.keys)
+        EXPECT_EQ(count, 1) << "JSON key " << key;
+    // The sparse report is walked twice above (in the layer and on its
+    // own, as registerStats does): its stats add up by design.
+    for (const auto& [stat, count] : census.stats) {
+        EXPECT_EQ(count, stat.rfind("sparse.", 0) == 0 ? 2 : 1)
+            << "stat " << stat;
+    }
+    EXPECT_EQ(census.stats.count("sim.totalCycles"), 1u);
+    EXPECT_EQ(census.stats.count("energy.breakdown_pJ::static"), 1u);
+    EXPECT_EQ(census.keys.count("/layers/timing/folds"), 1u);
+    for (unsigned i = 0; i < obs::CpiStack::kBucketCount; ++i) {
+        EXPECT_EQ(census.stats.count(std::string("sim.cpistack::")
+                                     + obs::CpiStack::bucketName(i)),
+                  1u);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -513,6 +787,8 @@ TEST(LayerCache, StatsRegistryExportsCounters)
     EXPECT_EQ(reg.scalarValue("sim.cache.misses"), 1.0);
     EXPECT_EQ(reg.scalarValue("sim.cache.inserts"), 1.0);
     EXPECT_DOUBLE_EQ(reg.evaluate("sim.cache.hitRate"), 0.5);
+    EXPECT_TRUE(reg.has("sim.cache.undecodable"));
+    EXPECT_EQ(reg.scalarValue("sim.cache.undecodable"), 0.0);
 }
 
 // ---------------------------------------------------------------------
@@ -693,6 +969,71 @@ TEST(ServerProtocol, CacheFalseBypassesCache)
     const auto stats = server.cache().stats();
     EXPECT_EQ(stats.inserts, 0u);
     EXPECT_EQ(stats.hits + stats.misses, 0u);
+}
+
+TEST(ServerProtocol, NonBooleanCacheFlagIsRejected)
+{
+    // "cache": "true" and "cache": 1 used to run with the cache
+    // silently bypassed.
+    Server server({});
+    for (const std::string type : {"run", "sweep"}) {
+        for (const std::string flag : {R"("true")", "1", "null"}) {
+            const obs::JsonValue doc = response(
+                server, R"({"type": ")" + type
+                            + R"(", "workload": "alexnet", "cache": )"
+                            + flag + "}");
+            EXPECT_FALSE(doc.find("ok")->boolean) << type << flag;
+            EXPECT_NE(doc.stringAt("error").find("'cache'"),
+                      std::string::npos)
+                << doc.stringAt("error");
+        }
+    }
+    const auto stats = server.cache().stats();
+    EXPECT_EQ(stats.hits + stats.misses, 0u);
+}
+
+TEST(ServerProtocol, RunResultIsTheRunRecord)
+{
+    // A run reply's result is the `--json` record minus its wall-clock
+    // profile, the power trace and each layer's nested objects, plus
+    // the flat stats.
+    auto check = [](const std::string& request, const SimConfig& cfg,
+                    const Topology& topo) {
+        Server server({});
+        obs::JsonValue doc = response(server, request);
+        ASSERT_TRUE(doc.find("ok")->boolean) << doc.stringAt("error");
+        obs::JsonValue result = doc.members["result"];
+        EXPECT_EQ(result.members.erase("stats"), 1u);
+
+        obs::JsonValue full = runDoc(runTopologyCached(cfg, topo, nullptr));
+        ASSERT_EQ(full.members.erase("powerTrace"),
+                  cfg.energy.enabled ? 1u : 0u);
+        for (auto& layer : full.members["layers"].items) {
+            std::erase_if(layer.members, [](const auto& member) {
+                return member.second.kind == obs::JsonValue::Kind::Object;
+            });
+        }
+        EXPECT_EQ(jsoncheck::canonical(result), jsoncheck::canonical(full));
+    };
+    check(R"({"type": "run", "workload": "resnet18"})", SimConfig{},
+          workloads::byName("resnet18"));
+
+    SimConfig sparse_cfg;
+    sparse_cfg.sparsity.enabled = true;
+    sparse_cfg.energy.enabled = true;
+    Topology topo;
+    topo.name = "sp";
+    topo.layers.push_back(LayerSpec::gemm("a", 32, 64, 128));
+    topo.layers.back().sparseN = 2;
+    topo.layers.back().sparseM = 4;
+    topo.layers.back().repetitions = 2;
+    check(R"({"type": "run",
+        "config": {"sparsity": {"SparsitySupport": true},
+                   "energy": {"EnergyModel": true}},
+        "topology": {"name": "sp", "layers": [{"type": "gemm",
+            "name": "a", "m": 32, "n": 64, "k": 128, "sparseN": 2,
+            "sparseM": 4, "repetitions": 2}]}})",
+          sparse_cfg, topo);
 }
 
 TEST(ServerProtocol, ConcurrentRequestsShareTheCacheSafely)
