@@ -1,14 +1,14 @@
 /**
  * @file
- * Static-vs-shared contention divergence benchmark: runs the trace-mode
- * multi-core simulator on a sweep of grid/bandwidth/dataflow points in
- * both contention models and records, per point, the two makespans,
- * their divergence, the shared model's arbitration conflict count and
- * wall-clock cost into BENCH_multicore.json.
+ * Multi-core contention benchmark: runs the trace-mode multi-core
+ * simulator on a sweep of grid/bandwidth/dataflow points and records,
+ * per point, the makespan, the arbiter's conflict and grant counts, the
+ * cores' aggregate queueing at the shared port and the wall-clock cost
+ * into BENCH_multicore.json.
  *
  *   multicore_contention [output.json] [--jobs N]
  *
- * Points are independent (each owns both simulators), so `--jobs N`
+ * Points are independent (each owns its simulator), so `--jobs N`
  * sweeps them on N threads — results are identical for every N; the
  * TSan CI job runs this with --jobs 4 to race-check the interleaved
  * engine.
@@ -42,28 +42,15 @@ struct Point
 
 struct Outcome
 {
-    Cycle staticMakespan = 0;
-    Cycle sharedMakespan = 0;
+    Cycle makespan = 0;
     std::uint64_t arbConflicts = 0;
     std::uint64_t grants = 0;
     std::uint64_t stallOnL2 = 0;
-    double staticSeconds = 0.0;
-    double sharedSeconds = 0.0;
-
-    double
-    divergencePct() const
-    {
-        return staticMakespan
-            ? 100.0
-                * (static_cast<double>(sharedMakespan)
-                       / static_cast<double>(staticMakespan)
-                   - 1.0)
-            : 0.0;
-    }
+    double seconds = 0.0;
 };
 
 MultiCoreTraceConfig
-configFor(const Point& p, ContentionModel model)
+configFor(const Point& p)
 {
     MultiCoreTraceConfig cfg;
     cfg.pr = p.pr;
@@ -74,7 +61,6 @@ configFor(const Point& p, ContentionModel model)
     cfg.dramWordsPerCycle = p.dramWordsPerCycle;
     cfg.l1.ifmapWords = 4096;
     cfg.l1.filterWords = 4096;
-    cfg.contention = model;
     return cfg;
 }
 
@@ -83,17 +69,13 @@ runPoint(const Point& p)
 {
     Outcome out;
     benchutil::Timer t;
-    MultiCoreTraceSimulator st(configFor(p, ContentionModel::Static));
-    out.staticMakespan = st.runLayer(p.layer).makespan;
-    out.staticSeconds = t.seconds();
-    t.reset();
-    MultiCoreTraceSimulator sh(configFor(p, ContentionModel::Shared));
-    const auto shared = sh.runLayer(p.layer);
-    out.sharedSeconds = t.seconds();
-    out.sharedMakespan = shared.makespan;
-    out.arbConflicts = shared.arb.arbConflicts;
-    out.grants = shared.arb.grants;
-    for (const auto& port : shared.ports)
+    MultiCoreTraceSimulator sim(configFor(p));
+    const auto result = sim.runLayer(p.layer);
+    out.seconds = t.seconds();
+    out.makespan = result.makespan;
+    out.arbConflicts = result.arb.arbConflicts;
+    out.grants = result.arb.grants;
+    for (const auto& port : result.ports)
         out.stallOnL2 += port.waitCycles;
     return out;
 }
@@ -132,18 +114,16 @@ main(int argc, char** argv)
                             });
     const double total_s = total.seconds();
 
-    benchutil::Table table({16, 12, 12, 10, 12, 10});
-    table.row({"point", "static", "shared", "diverge", "arbConf",
+    benchutil::Table table({16, 12, 12, 12, 12, 10});
+    table.row({"point", "makespan", "arbConf", "grants", "stallOnL2",
                "wall(s)"});
     table.rule();
     for (std::size_t i = 0; i < points.size(); ++i) {
         const auto& o = outcomes[i];
-        table.row({points[i].name, benchutil::num(o.staticMakespan),
-                   benchutil::num(o.sharedMakespan),
-                   benchutil::fmt("%+.1f%%", o.divergencePct()),
+        table.row({points[i].name, benchutil::num(o.makespan),
                    benchutil::num(o.arbConflicts),
-                   benchutil::fmt("%.3f",
-                                  o.staticSeconds + o.sharedSeconds)});
+                   benchutil::num(o.grants), benchutil::num(o.stallOnL2),
+                   benchutil::fmt("%.3f", o.seconds)});
     }
 
     std::ofstream out(out_path);
@@ -168,33 +148,25 @@ main(int argc, char** argv)
             << ",\n"
             << "      \"dramWordsPerCycle\": "
             << benchutil::fmt("%.1f", p.dramWordsPerCycle) << ",\n"
-            << "      \"staticMakespan\": " << o.staticMakespan
-            << ",\n"
-            << "      \"sharedMakespan\": " << o.sharedMakespan
-            << ",\n"
-            << "      \"divergencePct\": "
-            << benchutil::fmt("%.3f", o.divergencePct()) << ",\n"
+            << "      \"sharedMakespan\": " << o.makespan << ",\n"
             << "      \"arbConflicts\": " << o.arbConflicts << ",\n"
             << "      \"arbGrants\": " << o.grants << ",\n"
             << "      \"stallOnL2\": " << o.stallOnL2 << ",\n"
-            << "      \"staticSeconds\": "
-            << benchutil::fmt("%.6f", o.staticSeconds) << ",\n"
             << "      \"sharedSeconds\": "
-            << benchutil::fmt("%.6f", o.sharedSeconds) << "\n"
+            << benchutil::fmt("%.6f", o.seconds) << "\n"
             << "    }" << (i + 1 < points.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
     std::printf("wrote %s (%u jobs, %.3f s)\n", out_path.c_str(), jobs,
                 total_s);
 
-    // The starved no-L2 point is the acceptance check: real collisions
-    // must make the shared model strictly slower than the 1/N split.
-    const Outcome& starved = outcomes[2];
-    if (starved.sharedMakespan <= starved.staticMakespan
-        || starved.arbConflicts == 0) {
+    // The acceptance check: on the same layer, real collisions must
+    // make the starved no-L2 bus strictly slower than the ample one.
+    const Outcome& starved = outcomes[2]; // os_nol2_starved
+    const Outcome& ample = outcomes[3];   // os_nol2_ample
+    if (starved.makespan <= ample.makespan || starved.arbConflicts == 0) {
         std::fprintf(stderr,
-                     "FAIL: starved point shows no contention "
-                     "divergence\n");
+                     "FAIL: starved bus shows no contention slowdown\n");
         return 1;
     }
     return 0;

@@ -54,7 +54,7 @@ usage()
         "                    [--trace file] [--json file]\n"
         "                    [--no-fold-cache] [--audit]\n"
         "                    [--interval N]\n"
-        "                    [--multicore PRxPC] [--contention MODEL]\n"
+        "                    [--multicore PRxPC]\n"
         "  -s           write SRAM and main-memory traces of the\n"
         "               reported run into the output dir (sparse\n"
         "               OS/IS layers have no SRAM rows)\n"
@@ -73,8 +73,6 @@ usage()
         "               or ui.perfetto.dev); enables fold spans\n"
         "  --multicore  run the trace-level multi-core system on a\n"
         "               PRxPC grid (e.g. 2x2) instead of one core\n"
-        "  --contention shared (cycle-interleaved co-simulation,\n"
-        "               default) | static (sequential 1/N split)\n"
         "workloads: ";
     for (const auto& name : workloads::names())
         std::cerr << name << " ";
@@ -99,7 +97,6 @@ main(int argc, char** argv)
     bool audit = false;
     std::string interval_arg;
     std::string multicore_grid;
-    std::string contention_name = "shared";
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto next = [&]() -> std::string {
@@ -135,8 +132,6 @@ main(int argc, char** argv)
             interval_arg = next();
         } else if (arg == "--multicore") {
             multicore_grid = next();
-        } else if (arg == "--contention") {
-            contention_name = next();
         } else {
             usage();
             return arg == "-h" || arg == "--help" ? 0 : 1;
@@ -184,9 +179,6 @@ main(int argc, char** argv)
                 fatal("--multicore expects PRxPC (e.g. 2x2), got '%s'",
                       multicore_grid.c_str());
             }
-            const multicore::ContentionModel contention
-                = multicore::contentionModelFromString(
-                    contention_name);
             multicore::MultiCoreTraceConfig mc;
             mc.pr = pr;
             mc.pc = pc;
@@ -194,7 +186,6 @@ main(int argc, char** argv)
             mc.arrayCols = cfg.arrayCols;
             mc.dataflow = cfg.dataflow;
             mc.dramWordsPerCycle = cfg.memory.bandwidthWordsPerCycle;
-            mc.contention = contention;
             const std::uint32_t word
                 = std::max<std::uint32_t>(1, cfg.memory.wordBytes);
             mc.l1.ifmapWords = cfg.memory.ifmapSramKb * 1024 / word;
@@ -202,13 +193,12 @@ main(int argc, char** argv)
             mc.l1.ofmapWords = cfg.memory.ofmapSramKb * 1024 / word;
 
             inform("running %s (%zu layers) on a %llux%llu grid of "
-                   "%ux%u %s arrays, %s contention",
+                   "%ux%u %s arrays",
                    topo.name.c_str(), topo.layers.size(),
                    static_cast<unsigned long long>(pr),
                    static_cast<unsigned long long>(pc),
                    cfg.arrayRows, cfg.arrayCols,
-                   toString(cfg.dataflow).c_str(),
-                   multicore::toString(contention));
+                   toString(cfg.dataflow).c_str());
 
             multicore::MultiCoreTraceSimulator mcs(mc);
             obs::StatsRegistry reg;
@@ -244,21 +234,15 @@ main(int argc, char** argv)
                 std::cout << layer.name << ": makespan "
                           << res.makespan << " cycles, dram "
                           << res.dramReadWords << "r/"
-                          << res.dramWriteWords << "w words";
-                if (mc.contention
-                    == multicore::ContentionModel::Shared) {
-                    std::cout << ", arb conflicts "
-                              << res.arb.arbConflicts;
-                }
-                std::cout << "\n";
+                          << res.dramWriteWords
+                          << "w words, arb conflicts "
+                          << res.arb.arbConflicts << "\n";
             }
             std::cout << "total makespan:   " << makespan
                       << " cycles\n"
                       << "dram read words:  " << dram_read << "\n"
-                      << "dram write words: " << dram_write << "\n";
-            if (mc.contention == multicore::ContentionModel::Shared)
-                std::cout << "arb conflicts:    " << conflicts
-                          << "\n";
+                      << "dram write words: " << dram_write << "\n"
+                      << "arb conflicts:    " << conflicts << "\n";
             if (audit) {
                 auditor.report().registerStats(reg);
                 std::cout << "audit checks:     "

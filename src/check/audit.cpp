@@ -620,22 +620,17 @@ InvariantAuditor::auditArbiter(
     std::string_view scope)
 {
     const char* law = "mc.arbConservation";
-    if (!result.ports.empty()) {
-        std::uint64_t admitted = 0;
-        for (const auto& port : result.ports)
-            admitted += port.readRequests + port.writeRequests;
-        verify(result.arb.grants == admitted, law, scope,
-               "arbiter grants %" PRIu64
-               " != per-port admitted transactions %" PRIu64,
-               static_cast<std::uint64_t>(result.arb.grants),
-               admitted);
-        verify(result.arb.waiters.count == result.arb.grants, law,
-               scope,
-               "waiters histogram samples %" PRIu64
-               " != grants %" PRIu64,
-               result.arb.waiters.count,
-               static_cast<std::uint64_t>(result.arb.grants));
-    }
+    std::uint64_t admitted = 0;
+    for (const auto& port : result.ports)
+        admitted += port.readRequests + port.writeRequests;
+    verify(result.arb.grants == admitted, law, scope,
+           "arbiter grants %" PRIu64
+           " != per-port admitted transactions %" PRIu64,
+           static_cast<std::uint64_t>(result.arb.grants), admitted);
+    verify(result.arb.waiters.count == result.arb.grants, law, scope,
+           "waiters histogram samples %" PRIu64 " != grants %" PRIu64,
+           result.arb.waiters.count,
+           static_cast<std::uint64_t>(result.arb.grants));
     if (l2_enabled) {
         verify(result.l1FillWords
                    == result.l2.hitWords + result.l2.missWords,

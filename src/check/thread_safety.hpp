@@ -1,10 +1,11 @@
 /**
  * @file
  * Clang Thread Safety Analysis surface for the simulator's concurrent
- * code (ThreadPool sweeps and the serve-mode result cache). The repo's standing invariant is
- * *bit-identical* results under any worker count; the locking
- * discipline that invariant rests on is encoded here as compile-time
- * capability annotations instead of runtime-TSan-maybe-catches.
+ * code (parallelFor sweeps and the serve-mode result cache). The repo's
+ * standing invariant is *bit-identical* results under any worker
+ * count; the locking discipline that invariant rests on is encoded
+ * here as compile-time capability annotations instead of
+ * runtime-TSan-maybe-catches.
  *
  * Under clang the SIM_* macros expand to the thread-safety attributes
  * and the `static-analysis` CI lane compiles with

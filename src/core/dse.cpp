@@ -168,29 +168,39 @@ paretoFrontier(std::vector<DsePoint> points)
     return frontier;
 }
 
-void
-writeDseReport(std::ostream& out, const std::vector<DsePoint>& points)
+std::vector<bool>
+paretoMembership(const std::vector<DsePoint>& points)
 {
     const auto frontier = paretoFrontier(points);
-    auto on_frontier = [&](const DsePoint& p) {
+    std::vector<bool> member(points.size(), false);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const DsePoint& p = points[i];
         for (const auto& f : frontier) {
             if (f.array == p.array && f.dataflow == p.dataflow
                 && f.sramKb == p.sramKb) {
-                return true;
+                member[i] = true;
+                break;
             }
         }
-        return false;
-    };
+    }
+    return member;
+}
+
+void
+writeDseReport(std::ostream& out, const std::vector<DsePoint>& points)
+{
+    const auto pareto = paretoMembership(points);
     CsvWriter csv(out);
     csv.writeRow({"Array", "Dataflow", "SramKB", "Cycles", "Energy_mJ",
                   "EdP", "Pareto"});
-    for (const auto& p : points) {
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const DsePoint& p = points[i];
         csv.writeRow({std::to_string(p.array), toString(p.dataflow),
                       std::to_string(p.sramKb),
                       std::to_string(p.cycles),
                       format("%.4f", p.energyMj),
                       format("%.4g", p.edp),
-                      on_frontier(p) ? "yes" : "no"});
+                      pareto[i] ? "yes" : "no"});
     }
 }
 

@@ -132,6 +132,12 @@ DsePoint bestByEdp(const std::vector<DsePoint>& points);
  */
 std::vector<DsePoint> paretoFrontier(std::vector<DsePoint> points);
 
+/**
+ * One flag per point: whether its design (array, dataflow, SRAM) is on
+ * paretoFrontier(points).
+ */
+std::vector<bool> paretoMembership(const std::vector<DsePoint>& points);
+
 /** CSV report of all points, flagging the Pareto-optimal ones. */
 void writeDseReport(std::ostream& out,
                     const std::vector<DsePoint>& points);

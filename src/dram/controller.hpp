@@ -207,9 +207,6 @@ class Channel
         return readServiceHist_;
     }
 
-    /** Memory clocks the shared data bus spent transferring bursts. */
-    Cycle busBusyCycles() const { return busBusyCycles_; }
-
     /**
      * Register this channel's stats under `prefix` (dotted group, e.g.
      * "dram.ch0"): request/outcome scalars, per-bank outcome vectors,

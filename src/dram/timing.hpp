@@ -54,13 +54,6 @@ struct DramTiming
 
     /** Columns (bursts) per row. */
     std::uint64_t colsPerRow() const { return rowBytes / burstBytes; }
-
-    /** Peak data bandwidth in bytes per controller clock. */
-    double
-    peakBytesPerClock() const
-    {
-        return static_cast<double>(burstBytes) / tBurst;
-    }
 };
 
 /**

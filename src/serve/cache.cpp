@@ -40,22 +40,29 @@ void
 LayerResultCache::insert(std::uint64_t key, std::string payload)
 {
     MutexLock lock(mutex_);
+    if (store(key, std::move(payload)))
+        ++stats_.inserts;
+}
+
+bool
+LayerResultCache::store(std::uint64_t key, std::string payload)
+{
     if (budgetBytes_ != 0 && payload.size() > budgetBytes_)
-        return; // would evict the whole cache for one entry
+        return false; // would evict the whole cache for one entry
     auto it = entries_.find(key);
     if (it != entries_.end()) {
         // Concurrent workers can race to compute the same layer; the
         // payload is a pure function of the key, so keep the first.
         lru_.splice(lru_.begin(), lru_, it->second.lruPos);
-        return;
+        return false;
     }
     bytes_ += payload.size();
     lru_.push_front(key);
     entries_.emplace(key, Entry{std::move(payload), lru_.begin()});
-    ++stats_.inserts;
     evictToBudget();
     stats_.bytes = bytes_;
     stats_.entries = entries_.size();
+    return true;
 }
 
 void
@@ -191,7 +198,10 @@ LayerResultCache::load(const std::string& path)
             ++rejected;
             break; // trailing entries are unreliable past corruption
         }
-        insert(key, std::move(payload));
+        {
+            MutexLock lock(mutex_);
+            store(key, std::move(payload));
+        }
         ++accepted;
     }
     if (rejected > 0) {

@@ -159,6 +159,13 @@ class LayerResultCache
         std::list<std::uint64_t>::iterator lruPos;
     };
 
+    /**
+     * insert() without the `inserts` count, which load() must not
+     * bump. Returns whether a new entry was stored (lock held).
+     */
+    bool store(std::uint64_t key, std::string payload)
+        SIM_REQUIRES(mutex_);
+
     /** Evict LRU entries until bytes_ fits the budget (lock held). */
     void evictToBudget() SIM_REQUIRES(mutex_);
 

@@ -231,18 +231,10 @@ writeSweepResult(obs::JsonWriter& json,
     points.reserve(detailed.size());
     for (const auto& d : detailed)
         points.push_back(d.point);
-    const auto frontier = core::paretoFrontier(points);
-    auto on_frontier = [&](const core::DsePoint& p) {
-        for (const auto& f : frontier) {
-            if (f.array == p.array && f.dataflow == p.dataflow
-                && f.sramKb == p.sramKb) {
-                return true;
-            }
-        }
-        return false;
-    };
+    const auto pareto = core::paretoMembership(points);
     json.key("points").beginArray();
-    for (const auto& p : points) {
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const core::DsePoint& p = points[i];
         json.beginObject();
         json.field("array", p.array);
         json.field("dataflow", toString(p.dataflow));
@@ -250,7 +242,7 @@ writeSweepResult(obs::JsonWriter& json,
         json.field("cycles", p.cycles);
         json.field("energy_mJ", p.energyMj);
         json.field("edp", p.edp);
-        json.field("pareto", on_frontier(p));
+        json.field("pareto", static_cast<bool>(pareto[i]));
         json.endObject();
     }
     json.endArray();

@@ -138,7 +138,6 @@ class DemandGenerator
 
     /** Enable/disable the fold-replay demand cache (default on). */
     void setFoldCache(bool enabled) { foldCache_ = enabled; }
-    bool foldCacheEnabled() const { return foldCache_; }
 
     /** Fold-cache counters of the most recent run(). */
     const FoldCacheStats& foldCacheStats() const { return cacheStats_; }

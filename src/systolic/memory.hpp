@@ -51,13 +51,6 @@ struct MemoryStats
         return readRequests
             ? static_cast<double>(totalReadLatency) / readRequests : 0.0;
     }
-    double
-    avgWriteLatency() const
-    {
-        return writeRequests
-            ? static_cast<double>(totalWriteLatency) / writeRequests
-            : 0.0;
-    }
 
     void
     merge(const MemoryStats& other)
@@ -98,7 +91,6 @@ class MainMemory
     virtual Cycle lastIssueWait() const { return 0; }
 
     const MemoryStats& stats() const { return stats_; }
-    void clearStats() { stats_ = {}; }
 
   protected:
     MemoryStats stats_;
@@ -124,10 +116,8 @@ class BandwidthMemory : public MainMemory
     Cycle lastIssueWait() const override { return lastWait_; }
 
     /**
-     * Rewind the bus cursor to time zero. Used when several agents
-     * that run concurrently in real time are simulated one after the
-     * other (their contention is then approximated by a static
-     * bandwidth share instead of the shared cursor).
+     * Rewind the bus cursor to time zero. Used at a layer barrier,
+     * where every agent sharing the bus starts again at cycle 0.
      */
     void resetTimeline() { busFree_ = 0.0; }
 

@@ -132,7 +132,6 @@ class TracingMemory : public MainMemory
     {
         return records_;
     }
-    void clearRecords() { records_.clear(); }
 
   private:
     MainMemory& inner_;

@@ -449,6 +449,26 @@ TEST(Dse, ParetoFrontierIsNonDominated)
                      bestByEnergy(points).energyMj);
 }
 
+TEST(Dse, ParetoMembershipFlagsPointsInInputOrder)
+{
+    // Frontier order is by cycles; the flags follow the input order.
+    auto point = [](std::uint32_t array, Cycle cycles, double energy) {
+        DsePoint p;
+        p.array = array;
+        p.cycles = cycles;
+        p.energyMj = energy;
+        return p;
+    };
+    const std::vector<DsePoint> points = {
+        point(32, 300, 1.0), // lowest energy: on the frontier
+        point(16, 200, 6.0), // dominated by the 8-wide point
+        point(8, 100, 5.0),  // lowest latency: on the frontier
+    };
+    EXPECT_EQ(paretoMembership(points),
+              (std::vector<bool>{true, false, true}));
+    EXPECT_TRUE(paretoMembership({}).empty());
+}
+
 TEST(Dse, SelectorsAgreeWithManualScan)
 {
     DseSweep sweep;

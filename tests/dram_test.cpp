@@ -384,7 +384,7 @@ TEST(Refresh, ClosedFormCatchUpCountIsExact)
 // ---------------------------------------------------------------------
 // Engine A/B equivalence: EventSkip (production) vs Stepped
 // (reference). Identical completions, stats, and makespans on every
-// traffic shape, exactly like the ContentionModel::Static switch.
+// traffic shape.
 // ---------------------------------------------------------------------
 
 namespace

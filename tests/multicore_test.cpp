@@ -376,12 +376,7 @@ TEST(TraceSim, RejectsCoreCountOverflow)
     // must refuse it instead of sizing per-core state from the wrap.
     MultiCoreTraceConfig cfg;
     cfg.pr = cfg.pc = std::uint64_t{1} << 32;
-    for (const ContentionModel model :
-         {ContentionModel::Shared, ContentionModel::Static}) {
-        cfg.contention = model;
-        EXPECT_THROW(MultiCoreTraceSimulator sim(cfg), FatalError)
-            << toString(model);
-    }
+    EXPECT_THROW(MultiCoreTraceSimulator sim(cfg), FatalError);
     cfg.pc = 1;
     EXPECT_NO_THROW(MultiCoreTraceSimulator sim(cfg));
 }

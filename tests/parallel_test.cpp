@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the parallel execution engine and the simulator's
- * self-profiling layer: thread-pool/parallelFor semantics, the
+ * self-profiling layer: parallelFor semantics, the
  * determinism contract (parallel sweeps byte-identical to sequential
  * ones), and SimProfiler instrumentation in the run report.
  */
@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -94,21 +95,6 @@ TEST(ParallelFor, HandlesZeroAndTinyRanges)
     EXPECT_EQ(calls.load(), 0);
     parallelFor(1, 8, [&](std::uint64_t) { ++calls; });
     EXPECT_EQ(calls.load(), 1);
-}
-
-TEST(ThreadPool, DrainsAllSubmittedTasks)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.threadCount(), 4u);
-    std::atomic<int> done{0};
-    for (int i = 0; i < 256; ++i)
-        pool.submit([&] { ++done; });
-    pool.wait();
-    EXPECT_EQ(done.load(), 256);
-    // The pool stays usable after a wait().
-    pool.submit([&] { ++done; });
-    pool.wait();
-    EXPECT_EQ(done.load(), 257);
 }
 
 TEST(ResolveJobs, ExplicitValuesPassThrough)
