@@ -12,11 +12,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
-#include "common/parallel.hpp"
+#include "common/parse.hpp"
 
 namespace benchutil
 {
@@ -93,32 +93,30 @@ class Timer
 /**
  * Worker threads for the bench's config points, from `--jobs N` (or
  * `-j N`) on the command line; `fallback` when absent. N = 0 means
- * auto (SCALESIM_JOBS env var, then hardware concurrency).
+ * auto (SCALESIM_JOBS env var, then hardware concurrency). A missing,
+ * signed, non-numeric or oversized N prints usage and exits 1.
  */
 inline unsigned
 jobsFromArgs(int argc, char** argv, unsigned fallback = 1)
 {
-    for (int i = 1; i + 1 < argc; ++i) {
+    for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--jobs" || arg == "-j") {
-            const long parsed = std::strtol(argv[i + 1], nullptr, 10);
-            return parsed >= 0 ? static_cast<unsigned>(parsed)
-                               : fallback;
+        if (arg != "--jobs" && arg != "-j")
+            continue;
+        std::uint64_t jobs = 0;
+        if (i + 1 >= argc
+            || scalesim::parseUint64(argv[i + 1], jobs)
+                   != scalesim::NumberParse::Ok
+            || jobs > std::numeric_limits<unsigned>::max()) {
+            std::fprintf(stderr,
+                         "usage: %s [--jobs N]  (N worker threads, "
+                         "0 = auto), got '%s'\n",
+                         argv[0], i + 1 < argc ? argv[i + 1] : "");
+            std::exit(1);
         }
+        return static_cast<unsigned>(jobs);
     }
     return fallback;
-}
-
-/**
- * Evaluate `n` independent config points on up to `jobs` threads.
- * Each point must own its simulator state and store results by index;
- * with that discipline the output is identical for every jobs value.
- */
-inline void
-forEachPoint(std::uint64_t n, unsigned jobs,
-             const std::function<void(std::uint64_t)>& body)
-{
-    scalesim::parallelFor(n, jobs, body);
 }
 
 } // namespace benchutil

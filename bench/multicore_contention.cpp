@@ -22,6 +22,7 @@
 
 #include "bench_util.hpp"
 #include "common/log.hpp"
+#include "common/parallel.hpp"
 #include "multicore/trace_sim.hpp"
 
 using namespace scalesim;
@@ -108,10 +109,9 @@ main(int argc, char** argv)
 
     std::vector<Outcome> outcomes(points.size());
     benchutil::Timer total;
-    benchutil::forEachPoint(points.size(), jobs,
-                            [&](std::uint64_t i) {
-                                outcomes[i] = runPoint(points[i]);
-                            });
+    parallelFor(points.size(), jobs, [&](std::uint64_t i) {
+        outcomes[i] = runPoint(points[i]);
+    });
     const double total_s = total.seconds();
 
     benchutil::Table table({16, 12, 12, 12, 12, 10});

@@ -4,10 +4,9 @@
  * fold-replay cache. Two parts:
  *
  *  1. Timed: the per-cycle demand pass itself (DemandGenerator +
- *     CountingVisitor — the v2-equivalent trace generation that
- *     bench/table4_sim_overhead uses as its baseline), cached vs
- *     uncached, best-of-N. This is the work the cache replaces, and
- *     the `speedup` the JSON records.
+ *     CountingVisitor, no sink), cached vs uncached, best-of-N. This
+ *     is the work the cache replaces, and the `speedup` the JSON
+ *     records.
  *  2. Untimed, once per mode: a full trace-mode visitor stack
  *     (SramTraceWriter + CountingVisitor + ActionCountVisitor, the
  *     kinds of sink the Simulator's demand pass feeds) to verify

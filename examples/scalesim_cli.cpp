@@ -179,18 +179,8 @@ main(int argc, char** argv)
                 fatal("--multicore expects PRxPC (e.g. 2x2), got '%s'",
                       multicore_grid.c_str());
             }
-            multicore::MultiCoreTraceConfig mc;
-            mc.pr = pr;
-            mc.pc = pc;
-            mc.arrayRows = cfg.arrayRows;
-            mc.arrayCols = cfg.arrayCols;
-            mc.dataflow = cfg.dataflow;
-            mc.dramWordsPerCycle = cfg.memory.bandwidthWordsPerCycle;
-            const std::uint32_t word
-                = std::max<std::uint32_t>(1, cfg.memory.wordBytes);
-            mc.l1.ifmapWords = cfg.memory.ifmapSramKb * 1024 / word;
-            mc.l1.filterWords = cfg.memory.filterSramKb * 1024 / word;
-            mc.l1.ofmapWords = cfg.memory.ofmapSramKb * 1024 / word;
+            const auto mc = multicore::MultiCoreTraceConfig::
+                fromSimConfig(cfg, pr, pc);
 
             inform("running %s (%zu layers) on a %llux%llu grid of "
                    "%ux%u %s arrays",

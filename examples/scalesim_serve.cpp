@@ -12,10 +12,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "common/config.hpp"
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "serve/server.hpp"
 
 using namespace scalesim;
@@ -58,17 +60,28 @@ main(int argc, char** argv)
             }
             return argv[++i];
         };
+        // A count that is not a plain decimal up to `max` is a usage
+        // error, never a wrapped or defaulted value.
+        auto count = [&](std::uint64_t max) {
+            std::uint64_t value = 0;
+            if (parseUint64(next(), value) != NumberParse::Ok
+                || value > max) {
+                usage();
+                std::exit(1);
+            }
+            return value;
+        };
         if (arg == "-c") {
             base_path = next();
         } else if (arg == "--cache-file") {
             options.cacheFile = next();
         } else if (arg == "--cache-budget-mb") {
             options.cacheBudgetBytes =
-                std::strtoull(next().c_str(), nullptr, 10)
-                * 1024 * 1024;
+                count(std::numeric_limits<std::uint64_t>::max() >> 20)
+                << 20;
         } else if (arg == "--jobs") {
             options.defaultJobs = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+                count(std::numeric_limits<unsigned>::max()));
         } else {
             usage();
             return arg == "-h" || arg == "--help" ? 0 : 1;

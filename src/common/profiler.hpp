@@ -123,27 +123,6 @@ class SimProfiler
         ++profile_.layersProfiled;
     }
 
-    /**
-     * Charge work performed outside Simulator::runLayer (e.g. a
-     * bench's standalone demand-generation pass) to a phase *and* the
-     * total, so bench overhead ratios come from one instrument.
-     */
-    void
-    chargeExternal(SimPhase phase, double seconds)
-    {
-        charge(phase, seconds);
-        profile_.totalSeconds += seconds;
-    }
-
-    /** Charge unattributed external work to the total only. */
-    void chargeOther(double seconds)
-    {
-        profile_.totalSeconds += seconds;
-    }
-
-    /** Fold another profile (e.g. a RunResult's) into this one. */
-    void merge(const SimProfile& other) { profile_.merge(other); }
-
     /** Profile so far, with the peak-RSS probe refreshed. */
     SimProfile
     snapshot() const

@@ -21,6 +21,25 @@ multiCoreEngineFromString(std::string_view text)
     return MultiCoreEngine::Serial;
 }
 
+MultiCoreTraceConfig
+MultiCoreTraceConfig::fromSimConfig(const SimConfig& cfg,
+                                    std::uint64_t pr, std::uint64_t pc)
+{
+    MultiCoreTraceConfig mc;
+    mc.pr = pr;
+    mc.pc = pc;
+    mc.arrayRows = cfg.arrayRows;
+    mc.arrayCols = cfg.arrayCols;
+    mc.dataflow = cfg.dataflow;
+    mc.dramWordsPerCycle = cfg.memory.bandwidthWordsPerCycle;
+    const std::uint32_t word
+        = std::max<std::uint32_t>(1, cfg.memory.wordBytes);
+    mc.l1.ifmapWords = cfg.memory.ifmapSramKb * 1024 / word;
+    mc.l1.filterWords = cfg.memory.filterSramKb * 1024 / word;
+    mc.l1.ofmapWords = cfg.memory.ofmapSramKb * 1024 / word;
+    return mc;
+}
+
 MultiCoreTraceSimulator::MultiCoreTraceSimulator(
     const MultiCoreTraceConfig& cfg)
     : cfg_(cfg)

@@ -78,6 +78,15 @@ struct MultiCoreTraceConfig
      * knob exists for tests to prove enumeration-order independence.
      */
     bool arbScanReverse = false;
+
+    /**
+     * The grid `scalesim_cli --multicore PRxPC` runs: `pr` x `pc`
+     * cores, each with `cfg`'s array, dataflow and SRAM sizes (as L1
+     * words), sharing `cfg`'s main-memory bandwidth.
+     */
+    static MultiCoreTraceConfig fromSimConfig(const SimConfig& cfg,
+                                              std::uint64_t pr,
+                                              std::uint64_t pc);
 };
 
 /** Outcome of one layer on the multi-core system. */

@@ -381,6 +381,19 @@ TEST(TraceSim, RejectsCoreCountOverflow)
     EXPECT_NO_THROW(MultiCoreTraceSimulator sim(cfg));
 }
 
+TEST(TraceSim, FromSimConfigGivesEachCoreTheConfiguredArray)
+{
+    SimConfig cfg = SimConfig::tpuV2Like();
+    cfg.memory.wordBytes = 2;
+    const auto mc = MultiCoreTraceConfig::fromSimConfig(cfg, 4, 2);
+    EXPECT_EQ(mc.pr * mc.pc, 8u);
+    EXPECT_EQ(mc.arrayRows * mc.arrayCols, 128u * 128u);
+    EXPECT_EQ(mc.dataflow, Dataflow::WeightStationary);
+    EXPECT_DOUBLE_EQ(mc.dramWordsPerCycle, 100.0);
+    EXPECT_EQ(mc.l1.filterWords, 6144u * 512);
+    EXPECT_EQ(mc.l1.ofmapWords, 2048u * 512);
+}
+
 TEST(MeshNop, HopGeometry)
 {
     const auto mesh = MeshNop::cornerAttached(4, 4);

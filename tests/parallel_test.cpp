@@ -193,17 +193,6 @@ TEST(SimProfiler, DramPhaseChargedWhenDramModelActive)
     EXPECT_EQ(run.profile.seconds(SimPhase::Scratchpad), 0.0);
 }
 
-TEST(SimProfiler, ExternalChargesLandInPhaseAndTotal)
-{
-    SimProfiler profiler;
-    profiler.chargeExternal(SimPhase::DemandGen, 0.25);
-    profiler.chargeOther(0.5);
-    const SimProfile profile = profiler.snapshot();
-    EXPECT_DOUBLE_EQ(profile.seconds(SimPhase::DemandGen), 0.25);
-    EXPECT_DOUBLE_EQ(profile.totalSeconds, 0.75);
-    EXPECT_DOUBLE_EQ(profile.otherSeconds(), 0.5);
-}
-
 TEST(SimProfiler, MergeAccumulatesAndKeepsPeakRss)
 {
     SimProfile a;
