@@ -11,12 +11,8 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <limits>
 #include <string>
 #include <vector>
-
-#include "common/parse.hpp"
 
 namespace benchutil
 {
@@ -89,35 +85,6 @@ class Timer
     using clock = std::chrono::steady_clock;
     clock::time_point start_;
 };
-
-/**
- * Worker threads for the bench's config points, from `--jobs N` (or
- * `-j N`) on the command line; `fallback` when absent. N = 0 means
- * auto (SCALESIM_JOBS env var, then hardware concurrency). A missing,
- * signed, non-numeric or oversized N prints usage and exits 1.
- */
-inline unsigned
-jobsFromArgs(int argc, char** argv, unsigned fallback = 1)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg != "--jobs" && arg != "-j")
-            continue;
-        std::uint64_t jobs = 0;
-        if (i + 1 >= argc
-            || scalesim::parseUint64(argv[i + 1], jobs)
-                   != scalesim::NumberParse::Ok
-            || jobs > std::numeric_limits<unsigned>::max()) {
-            std::fprintf(stderr,
-                         "usage: %s [--jobs N]  (N worker threads, "
-                         "0 = auto), got '%s'\n",
-                         argv[0], i + 1 < argc ? argv[i + 1] : "");
-            std::exit(1);
-        }
-        return static_cast<unsigned>(jobs);
-    }
-    return fallback;
-}
 
 } // namespace benchutil
 

@@ -29,7 +29,7 @@ int
 main(int argc, char** argv)
 {
     setQuiet(true);
-    const unsigned jobs = benchutil::jobsFromArgs(argc, argv, 1);
+    const unsigned jobs = jobsFromArgs(argc, argv, 1);
     std::printf("=== Fig. 9: memory throughput (MB/s) vs DRAM "
                 "channels, ResNet-18, TPU config ===\n");
     const std::uint32_t channel_counts[] = {1, 2, 4, 8};

@@ -47,7 +47,7 @@ int
 main(int argc, char** argv)
 {
     setQuiet(true);
-    const unsigned jobs = benchutil::jobsFromArgs(argc, argv, 1);
+    const unsigned jobs = jobsFromArgs(argc, argv, 1);
     std::printf("=== Fig. 10: memory stalls vs request queue size "
                 "(32 / 128 / 512) ===\n");
     const char* names[] = {"alexnet", "resnet18", "vit_small"};

@@ -89,7 +89,7 @@ main(int argc, char** argv)
     std::string out_path = "BENCH_multicore.json";
     if (argc > 1 && argv[1][0] != '-')
         out_path = argv[1];
-    const unsigned jobs = benchutil::jobsFromArgs(argc, argv, 1);
+    const unsigned jobs = jobsFromArgs(argc, argv, 1);
     const unsigned hw_threads = std::thread::hardware_concurrency();
 
     const std::vector<Point> points = {

@@ -134,7 +134,7 @@ main(int argc, char** argv)
     setQuiet(true);
     const std::string json_path =
         argc > 1 && argv[1][0] != '-' ? argv[1] : "";
-    const unsigned jobs = benchutil::jobsFromArgs(argc, argv, 1);
+    const unsigned jobs = jobsFromArgs(argc, argv, 1);
     std::printf("=== Table IV: simulation-time overhead vs v2-style "
                 "trace run (TPU-v2-like config, jobs=%u) ===\n",
                 resolveJobs(jobs));

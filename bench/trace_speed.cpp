@@ -33,7 +33,6 @@
 #include "common/workloads.hpp"
 #include "energy/action_counts.hpp"
 #include "systolic/demand.hpp"
-#include "systolic/simd.hpp"
 #include "systolic/trace_io.hpp"
 
 using namespace scalesim;
@@ -211,7 +210,6 @@ main(int argc, char** argv)
         << "  \"arrayCols\": " << cfg.arrayCols << ",\n"
         << "  \"dataflow\": \"" << toString(cfg.dataflow) << "\",\n"
         << "  \"reps\": " << reps << ",\n"
-        << "  \"simdBackend\": \"" << simd::backendName() << "\",\n"
         << "  \"uncachedSeconds\": "
         << benchutil::fmt("%.6f", best_live) << ",\n"
         << "  \"cachedSeconds\": "

@@ -8,8 +8,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "common/log.hpp"
@@ -40,13 +38,7 @@ main(int argc, char** argv)
     setQuiet(true);
     // --jobs N spreads the sweep's design points over N threads
     // (0 = auto); the evaluation order and output are unchanged.
-    unsigned jobs = 1;
-    for (int i = 1; i + 1 < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--jobs" || arg == "-j")
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[i + 1], nullptr, 10));
-    }
+    const unsigned jobs = jobsFromArgs(argc, argv);
     const Topology topo = workloads::resnet18();
 
     const std::vector<std::uint32_t> arrays = {16, 32, 64, 128};

@@ -52,14 +52,11 @@ usage()
         "                    [-w workload] [-o output_dir] [-s]\n"
         "                    [--stats file] [--stats-json file]\n"
         "                    [--trace file] [--json file]\n"
-        "                    [--no-fold-cache] [--audit]\n"
-        "                    [--interval N]\n"
+        "                    [--audit] [--interval N]\n"
         "                    [--multicore PRxPC]\n"
         "  -s           write SRAM and main-memory traces of the\n"
         "               reported run into the output dir (sparse\n"
         "               OS/IS layers have no SRAM rows)\n"
-        "  --no-fold-cache disable the fold-replay demand cache\n"
-        "               (same outputs, slower trace mode)\n"
         "  --audit      audit cross-module conservation laws after\n"
         "               every layer; exit 2 on any violation\n"
         "  --interval   sample the stats registry every N simulated\n"
@@ -79,6 +76,19 @@ usage()
     std::cerr << "\n";
 }
 
+/** Write `path` with `(object.*writer)(stream)`; fatal() when it
+ *  cannot be opened. */
+template <typename Object, typename Writer>
+void
+writeFile(const std::string& path, const Object& object, Writer writer)
+{
+    std::ofstream out(path);
+    if (!out)
+        fatal("cannot write %s", path.c_str());
+    (object.*writer)(out);
+    inform("wrote %s", path.c_str());
+}
+
 } // namespace
 
 int
@@ -93,7 +103,6 @@ main(int argc, char** argv)
     std::string json_path;
     std::string trace_path;
     bool write_traces = false;
-    bool fold_cache = true;
     bool audit = false;
     std::string interval_arg;
     std::string multicore_grid;
@@ -124,8 +133,6 @@ main(int argc, char** argv)
             json_path = next();
         } else if (arg == "--trace") {
             trace_path = next();
-        } else if (arg == "--no-fold-cache") {
-            fold_cache = false;
         } else if (arg == "--audit") {
             audit = true;
         } else if (arg == "--interval") {
@@ -150,8 +157,6 @@ main(int argc, char** argv)
             : Topology::load(topology_path);
         if (!trace_path.empty())
             cfg.memory.recordFoldSpans = true;
-        if (!fold_cache)
-            cfg.foldCache = false;
         if (audit)
             cfg.audit = true;
         if (!interval_arg.empty()) {
@@ -242,19 +247,12 @@ main(int argc, char** argv)
                 auditor.report().writeReport(std::cerr);
             }
 
-            auto dump_to = [&](const std::string& path,
-                               auto writer) {
-                std::ofstream out(path);
-                if (!out)
-                    fatal("cannot write %s", path.c_str());
-                (reg.*writer)(out);
-                inform("wrote %s", path.c_str());
-            };
             if (!stats_path.empty())
-                dump_to(stats_path, &obs::StatsRegistry::dump);
-            if (!stats_json_path.empty())
-                dump_to(stats_json_path,
-                        &obs::StatsRegistry::dumpJson);
+                writeFile(stats_path, reg, &obs::StatsRegistry::dump);
+            if (!stats_json_path.empty()) {
+                writeFile(stats_json_path, reg,
+                          &obs::StatsRegistry::dumpJson);
+            }
             if (!json_path.empty() || !trace_path.empty()
                 || write_traces || cfg.intervalCycles > 0) {
                 warn("--json/--trace/-s/--interval are single-core "
@@ -281,12 +279,7 @@ main(int argc, char** argv)
         const core::RunResult run = sim.run(topo);
 
         auto write = [&](const char* name, auto writer) {
-            const std::string path = out_dir + "/" + name;
-            std::ofstream out(path);
-            if (!out)
-                fatal("cannot write %s", path.c_str());
-            (run.*writer)(out);
-            inform("wrote %s", path.c_str());
+            writeFile(out_dir + "/" + name, run, writer);
         };
         write("COMPUTE_REPORT.csv", &core::RunResult::writeComputeReport);
         write("BANDWIDTH_REPORT.csv",
@@ -302,37 +295,27 @@ main(int argc, char** argv)
         }
 
         // Observability outputs go to explicit paths (not out_dir).
-        auto write_to = [&](const std::string& path, auto writer) {
-            std::ofstream out(path);
-            if (!out)
-                fatal("cannot write %s", path.c_str());
-            (run.*writer)(out);
-            inform("wrote %s", path.c_str());
-        };
         if (!stats_path.empty())
-            write_to(stats_path, &core::RunResult::writeStats);
-        if (!stats_json_path.empty())
-            write_to(stats_json_path, &core::RunResult::writeStatsJson);
+            writeFile(stats_path, run, &core::RunResult::writeStats);
+        if (!stats_json_path.empty()) {
+            writeFile(stats_json_path, run,
+                      &core::RunResult::writeStatsJson);
+        }
         if (!json_path.empty())
-            write_to(json_path, &core::RunResult::writeJson);
-        if (!trace_path.empty())
-            write_to(trace_path, &core::RunResult::writeChromeTrace);
+            writeFile(json_path, run, &core::RunResult::writeJson);
+        if (!trace_path.empty()) {
+            writeFile(trace_path, run,
+                      &core::RunResult::writeChromeTrace);
+        }
 
         if (!run.intervals.empty()) {
-            auto write_series = [&](const char* name, auto method) {
-                const std::string path = out_dir + "/" + name;
-                std::ofstream out(path);
-                if (!out)
-                    fatal("cannot write %s", path.c_str());
-                (run.intervals.*method)(out);
-                inform("wrote %s", path.c_str());
-            };
-            write_series("INTERVAL_STATS.txt",
-                         &obs::IntervalSeries::writeStatsText);
-            write_series("INTERVAL_SERIES.csv",
-                         &obs::IntervalSeries::writeCsv);
-            write_series("INTERVAL_SERIES.json",
-                         &obs::IntervalSeries::writeJson);
+            const obs::IntervalSeries& series = run.intervals;
+            writeFile(out_dir + "/INTERVAL_STATS.txt", series,
+                      &obs::IntervalSeries::writeStatsText);
+            writeFile(out_dir + "/INTERVAL_SERIES.csv", series,
+                      &obs::IntervalSeries::writeCsv);
+            writeFile(out_dir + "/INTERVAL_SERIES.json", series,
+                      &obs::IntervalSeries::writeJson);
         }
 
         if (write_traces) {

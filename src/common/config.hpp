@@ -245,9 +245,9 @@ struct SimConfig
     SimMode mode = SimMode::Trace;
 
     /**
-     * Fold-replay demand cache for trace mode: generate each fold
-     * equivalence class once and replay shifted copies. Identical
-     * output either way; off trades speed for simpler debugging.
+     * Read by nothing and outside walkConfigFields, so no INI key sets
+     * it. Kept only for perfbench/probe.cpp; goes at the next
+     * benchmark re-anchor.
      */
     bool foldCache = true;
 
@@ -354,7 +354,6 @@ walkConfigFields(Config& cfg, Visit&& field)
     field({arch, "ArrayWidth", key, positive}, cfg.arrayCols);
     field({arch, "Dataflow", key, {}, {}, "os|ws|is"}, cfg.dataflow);
     field({gen, "mode", key, {}, {}, "trace|analytical"}, cfg.mode);
-    field({arch, "FoldCache", key}, cfg.foldCache);
     field({arch, "SimdLanes", key, positive}, cfg.simdLanes);
     field({arch, "SimdLatency", key}, cfg.simdLatencyPerOp);
     field({arch, "IfmapSramSzkB", key, positive}, mem.ifmapSramKb);

@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <limits>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "check/thread_safety.hpp"
+#include "common/parse.hpp"
 
 namespace scalesim
 {
@@ -35,8 +39,11 @@ parallelFor(std::uint64_t n, unsigned jobs,
 {
     if (n == 0)
         return;
-    const unsigned workers = std::min<std::uint64_t>(
-        jobs == 1 ? 1 : resolveJobs(jobs), n);
+    // More threads than hardware threads only add start-up cost, and
+    // a request's "jobs" must not be able to start thousands of them.
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    const auto workers = static_cast<unsigned>(
+        std::min<std::uint64_t>({resolveJobs(jobs), hw, n}));
     if (workers <= 1) {
         for (std::uint64_t i = 0; i < n; ++i)
             body(i);
@@ -89,6 +96,28 @@ parallelFor(std::uint64_t n, unsigned jobs,
     }
     if (auto error = slot.take())
         std::rethrow_exception(error);
+}
+
+unsigned
+jobsFromArgs(int argc, char** argv, unsigned fallback)
+{
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        if (arg != "--jobs" && arg != "-j")
+            continue;
+        std::uint64_t jobs = 0;
+        if (i + 1 >= argc
+            || parseUint64(argv[i + 1], jobs) != NumberParse::Ok
+            || jobs > std::numeric_limits<unsigned>::max()) {
+            std::fprintf(stderr,
+                         "usage: %s [--jobs N]  (N worker threads, "
+                         "0 = auto), got '%s'\n",
+                         argv[0], i + 1 < argc ? argv[i + 1] : "");
+            std::exit(1);
+        }
+        return static_cast<unsigned>(jobs);
+    }
+    return fallback;
 }
 
 } // namespace scalesim

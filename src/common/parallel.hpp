@@ -35,14 +35,21 @@ namespace scalesim
 unsigned resolveJobs(unsigned requested);
 
 /**
- * Run body(i) for every i in [0, n) on up to `jobs` threads.
- * jobs <= 1 (after resolveJobs for jobs == 1; pass 0 for auto) runs
- * inline on the calling thread, byte-identical to a plain loop. The
- * first exception thrown by any body is rethrown on the caller after
- * all workers stop.
+ * Run body(i) for every i in [0, n) on up to `jobs` threads (pass 0
+ * for auto), never more than n or the hardware's thread count. One
+ * worker runs inline on the calling thread, byte-identical to a plain
+ * loop. The first exception thrown by any body is rethrown on the
+ * caller after all workers stop.
  */
 void parallelFor(std::uint64_t n, unsigned jobs,
                  const std::function<void(std::uint64_t)>& body);
+
+/**
+ * Worker threads from `--jobs N` (or `-j N`) on a command line;
+ * `fallback` when absent. N = 0 means auto (see resolveJobs). A
+ * missing, signed, non-numeric or oversized N prints usage and exits 1.
+ */
+unsigned jobsFromArgs(int argc, char** argv, unsigned fallback = 1);
 
 } // namespace scalesim
 

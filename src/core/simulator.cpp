@@ -262,7 +262,6 @@ Simulator::runLayer(const LayerSpec& layer, std::uint64_t layer_index)
         systolic::DemandGenerator generator(
             result.denseGemm, cfg_.dataflow, cfg_.arrayRows,
             cfg_.arrayCols, operands, gather);
-        generator.setFoldCache(cfg_.foldCache);
         systolic::TeeVisitor tee(std::move(sinks));
         {
             const auto prof = profiler_.scope(SimPhase::DemandGen);
@@ -511,7 +510,7 @@ Simulator::registerStats(obs::StatsRegistry& reg) const
 
     // Fold-replay demand cache. These counters describe the
     // simulator's own work, not the modeled hardware: they are the
-    // only stats allowed to differ between foldCache on/off runs.
+    // only stats allowed to differ from a live walk of every fold.
     reg.addScalar("sim.foldCache.folds", "demand folds generated",
                   static_cast<double>(foldCacheStats_.foldsTotal));
     reg.addScalar("sim.foldCache.replayed",

@@ -14,6 +14,47 @@ namespace
 /** Number of banked row-buffer trackers in the repeat lookup. */
 constexpr std::uint32_t kTrackerBanks = 32;
 
+/**
+ * Add the counts that follow from one layer's totals (§VII-E): MAC
+ * states, PE scratchpads, idle SRAM port-cycles and NoC words of a
+ * `cycles`-long layer on a `rows` x `cols` array that did `macs` MACs
+ * and moved `ifmap_reads`, `filter_reads` and `ofmap_words` SRAM words.
+ */
+void
+addLayerCounts(ActionCounts& counts, std::uint64_t rows,
+               std::uint64_t cols, Cycle cycles, Count macs,
+               Count ifmap_reads, Count filter_reads, Count ofmap_words,
+               bool clock_gating)
+{
+    // PEs x cycles x utilization are real MACs; the remainder is
+    // constant (clocked) or gated.
+    const std::uint64_t pe_cycles = rows * cols * cycles;
+    const Count idle_macs = pe_cycles > macs ? pe_cycles - macs : 0;
+    counts.macRandom += macs;
+    (clock_gating ? counts.macGated : counts.macConstant) += idle_macs;
+
+    // PE scratchpads follow §VII-E's dataflow-sensitive rules: writes
+    // track the SRAM reads that deliver new data, reads track MACs.
+    counts.ifmapSpadWrite += ifmap_reads;
+    counts.ifmapSpadRead += macs;
+    counts.weightSpadWrite += filter_reads;
+    counts.weightSpadRead += macs;
+    counts.psumSpadRead += macs;
+    counts.psumSpadWrite += macs;
+
+    // Idle port-cycles: ifmap SRAM feeds R ports, filter and ofmap C.
+    auto idle = [cycles](std::uint64_t ports, Count used) -> Count {
+        const Count port_cycles = ports * cycles;
+        return port_cycles > used ? port_cycles - used : 0;
+    };
+    counts.ifmapSram.idle += idle(rows, ifmap_reads);
+    counts.filterSram.idle += idle(cols, filter_reads);
+    counts.ofmapSram.idle += idle(cols, ofmap_words);
+
+    // Every SRAM<->array word traverses the array-edge NoC.
+    counts.nocWords += ifmap_reads + filter_reads + ofmap_words;
+}
+
 } // namespace
 
 void
@@ -91,8 +132,6 @@ ActionCountVisitor::beginLayer(const systolic::FoldGrid& grid,
                                const systolic::OperandMap& /*operands*/)
 {
     utilization_ = grid.utilization();
-    numPes_ = static_cast<std::uint64_t>(grid.arrayRows())
-        * grid.arrayCols();
     arrayRows_ = grid.arrayRows();
     arrayCols_ = grid.arrayCols();
     ifmapRows_.reset(kTrackerBanks, cfg_.bankSize);
@@ -182,55 +221,21 @@ void
 ActionCountVisitor::endLayer(Cycle total_cycles)
 {
     counts_.cycles += total_cycles;
-
-    // MAC action counts: PEs x cycles x utilization are real MACs; the
-    // remainder is constant (clocked) or gated (§VII-E).
-    const std::uint64_t pe_cycles = numPes_ * total_cycles;
+    const std::uint64_t pe_cycles =
+        static_cast<std::uint64_t>(arrayRows_) * arrayCols_ * total_cycles;
     const Count macs = static_cast<Count>(
         static_cast<double>(pe_cycles) * utilization_ + 0.5);
-    counts_.macRandom += macs;
-    const Count idle_macs = pe_cycles > macs ? pe_cycles - macs : 0;
-    if (clockGating_)
-        counts_.macGated += idle_macs;
-    else
-        counts_.macConstant += idle_macs;
-
     // Per-layer SRAM access deltas (the visitor may span many layers).
-    const Count ifmap_layer_reads = counts_.ifmapSram.reads()
-        - layerStart_.ifmapSram.reads();
-    const Count filter_layer_reads = counts_.filterSram.reads()
-        - layerStart_.filterSram.reads();
-
-    // PE scratchpads follow §VII-E's dataflow-sensitive rules: writes
-    // track the SRAM reads that deliver new data, reads track MACs.
-    counts_.ifmapSpadWrite += ifmap_layer_reads;
-    counts_.ifmapSpadRead += macs;
-    counts_.weightSpadWrite += filter_layer_reads;
-    counts_.weightSpadRead += macs;
-    counts_.psumSpadRead += macs;
-    counts_.psumSpadWrite += macs;
-
-    // Idle port-cycles: ifmap SRAM feeds R ports, filter and ofmap C.
-    const Count ifmap_ports = static_cast<Count>(arrayRows_)
-        * total_cycles;
-    const Count filter_ports = static_cast<Count>(arrayCols_)
-        * total_cycles;
-    const Count ofmap_ports = static_cast<Count>(arrayCols_)
-        * total_cycles;
-    const Count ifmap_used = ifmap_layer_reads;
-    const Count filter_used = filter_layer_reads;
-    const Count ofmap_used = counts_.ofmapSram.reads()
-        + counts_.ofmapSram.writes() - layerStart_.ofmapSram.reads()
-        - layerStart_.ofmapSram.writes();
-    counts_.ifmapSram.idle += ifmap_ports > ifmap_used
-        ? ifmap_ports - ifmap_used : 0;
-    counts_.filterSram.idle += filter_ports > filter_used
-        ? filter_ports - filter_used : 0;
-    counts_.ofmapSram.idle += ofmap_ports > ofmap_used
-        ? ofmap_ports - ofmap_used : 0;
-
-    // Every SRAM<->array word traverses the array-edge NoC.
-    counts_.nocWords += ifmap_used + filter_used + ofmap_used;
+    const SramActionCounts& ifmap = counts_.ifmapSram;
+    const SramActionCounts& filter = counts_.filterSram;
+    const SramActionCounts& ofmap = counts_.ofmapSram;
+    const ActionCounts& start = layerStart_;
+    const Count ifmap_reads = ifmap.reads() - start.ifmapSram.reads();
+    const Count filter_reads = filter.reads() - start.filterSram.reads();
+    const Count ofmap_words = ofmap.reads() + ofmap.writes()
+        - start.ofmapSram.reads() - start.ofmapSram.writes();
+    addLayerCounts(counts_, arrayRows_, arrayCols_, total_cycles, macs,
+                   ifmap_reads, filter_reads, ofmap_words, clockGating_);
 }
 
 ActionCounts
@@ -241,16 +246,6 @@ analyticalActionCounts(const systolic::FoldGrid& grid,
         fatal("energy RowSize must be non-zero");
     ActionCounts counts;
     counts.cycles = grid.totalCycles();
-
-    const std::uint64_t pe_cycles = static_cast<std::uint64_t>(
-        grid.arrayRows()) * grid.arrayCols() * counts.cycles;
-    const Count macs = grid.gemm().macs();
-    counts.macRandom = macs;
-    const Count idle_macs = pe_cycles > macs ? pe_cycles - macs : 0;
-    if (clock_gating)
-        counts.macGated = idle_macs;
-    else
-        counts.macConstant = idle_macs;
 
     const auto sram = grid.sramAccessCounts();
     // Every systolic access stream walks row buffers in a structured
@@ -276,29 +271,10 @@ analyticalActionCounts(const systolic::FoldGrid& grid,
     split(sram.ofmapReads, seq, counts.ofmapSram.readRandom,
           counts.ofmapSram.readRepeat);
 
-    counts.ifmapSpadWrite = counts.ifmapSram.reads();
-    counts.ifmapSpadRead = macs;
-    counts.weightSpadWrite = counts.filterSram.reads();
-    counts.weightSpadRead = macs;
-    counts.psumSpadRead = macs;
-    counts.psumSpadWrite = macs;
-
-    const Count ifmap_ports = static_cast<Count>(grid.arrayRows())
-        * counts.cycles;
-    const Count filter_ports = static_cast<Count>(grid.arrayCols())
-        * counts.cycles;
-    const Count ofmap_ports = filter_ports;
-    const Count ifmap_used = counts.ifmapSram.reads();
-    const Count filter_used = counts.filterSram.reads();
-    const Count ofmap_used = counts.ofmapSram.reads()
-        + counts.ofmapSram.writes();
-    counts.ifmapSram.idle = ifmap_ports > ifmap_used
-        ? ifmap_ports - ifmap_used : 0;
-    counts.filterSram.idle = filter_ports > filter_used
-        ? filter_ports - filter_used : 0;
-    counts.ofmapSram.idle = ofmap_ports > ofmap_used
-        ? ofmap_ports - ofmap_used : 0;
-    counts.nocWords = ifmap_used + filter_used + ofmap_used;
+    addLayerCounts(counts, grid.arrayRows(), grid.arrayCols(),
+                   counts.cycles, grid.gemm().macs(), sram.ifmapReads,
+                   sram.filterReads, sram.ofmapReads + sram.ofmapWrites,
+                   clock_gating);
     return counts;
 }
 

@@ -136,7 +136,6 @@ class ActionCountVisitor : public systolic::DemandVisitor
     RowTrackerSet ofmapReadRows_;
     RowTrackerSet ofmapWriteRows_;
     double utilization_ = 0.0;
-    std::uint64_t numPes_ = 0;
     std::uint32_t arrayRows_ = 1;
     std::uint32_t arrayCols_ = 1;
 };

@@ -122,30 +122,6 @@ DemandGenerator::DemandGenerator(const GemmDims& gemm, Dataflow df,
 }
 
 void
-DemandGenerator::run(DemandVisitor& visitor) const
-{
-    cacheStats_ = {};
-    if (foldCache_ && grid_.numFolds() > 1) {
-        runCached(visitor);
-        return;
-    }
-    visitor.beginLayer(grid_, operands_);
-    Cycle fold_start = 0;
-    const Cycle fold_len = grid_.foldCycles();
-    for (std::uint64_t rf = 0; rf < grid_.rowFolds(); ++rf) {
-        for (std::uint64_t cf = 0; cf < grid_.colFolds(); ++cf) {
-            visitor.beginFold(rf, cf, fold_start);
-            runFold(visitor, rf, cf, fold_start);
-            ++cacheStats_.foldsTotal;
-            ++cacheStats_.foldsLive;
-            fold_start += fold_len;
-            visitor.endFold(rf, cf, fold_start);
-        }
-    }
-    visitor.endLayer(fold_start);
-}
-
-void
 DemandGenerator::runFold(DemandVisitor& visitor, std::uint64_t rf,
                          std::uint64_t cf, Cycle fold_start) const
 {
@@ -263,10 +239,14 @@ DemandGenerator::replayDeltas(const FoldCacheEntry& entry,
 }
 
 void
-DemandGenerator::runCached(DemandVisitor& visitor) const
+DemandGenerator::run(DemandVisitor& visitor) const
 {
+    cacheStats_ = {};
     visitor.beginLayer(grid_, operands_);
     const Cycle fold_len = grid_.foldCycles();
+    // A one-fold layer has nothing to replay, so it is never copied
+    // into an arena.
+    const bool replay = foldCache_ && grid_.numFolds() > 1;
     // Replay requires the candidate fold to have the canonical (first
     // fold's) tile shape; ragged edge folds fall back to live.
     const std::uint64_t ctr = grid_.tileRows(0);
@@ -279,31 +259,25 @@ DemandGenerator::runCached(DemandVisitor& visitor) const
         for (std::uint64_t cf = 0; cf < grid_.colFolds(); ++cf) {
             visitor.beginFold(rf, cf, fold_start);
             ++cacheStats_.foldsTotal;
-            bool handled = false;
             std::uint64_t key = 0;
-            if (grid_.tileRows(rf) == ctr && grid_.tileCols(cf) == ctc
-                && replayKey(rf, cf, key)) {
-                if (FoldCacheEntry* entry = cache.find(key)) {
-                    const bool accumulate = !os && rf > 0;
-                    const ReplayDeltas deltas = replayDeltas(*entry, rf,
-                                                             cf);
-                    visitor.replayFold(key, entry->rf, entry->cf, deltas,
-                                       accumulate);
-                    entry->replay(visitor, fold_start, deltas,
-                                  accumulate, scratch);
-                    ++cacheStats_.foldsReplayed;
-                    cacheStats_.addrsReplayed +=
-                        entry->addrCount(accumulate);
-                    handled = true;
-                } else {
-                    FoldCacheEntry& fresh = cache.insert(key, rf, cf);
-                    FoldCaptureVisitor capture(visitor, fresh);
-                    runFold(capture, rf, cf, fold_start);
-                    ++cacheStats_.foldsLive;
-                    handled = true;
-                }
-            }
-            if (!handled) {
+            const bool classed = replay && grid_.tileRows(rf) == ctr
+                && grid_.tileCols(cf) == ctc && replayKey(rf, cf, key);
+            FoldCacheEntry* entry = classed ? cache.find(key) : nullptr;
+            if (entry) {
+                const bool accumulate = !os && rf > 0;
+                const ReplayDeltas deltas = replayDeltas(*entry, rf, cf);
+                visitor.replayFold(key, entry->rf, entry->cf, deltas,
+                                   accumulate);
+                entry->replay(visitor, fold_start, deltas, accumulate,
+                              scratch);
+                ++cacheStats_.foldsReplayed;
+                cacheStats_.addrsReplayed += entry->addrCount(accumulate);
+            } else if (classed) {
+                FoldCaptureVisitor capture(visitor,
+                                           cache.insert(key, rf, cf));
+                runFold(capture, rf, cf, fold_start);
+                ++cacheStats_.foldsLive;
+            } else {
                 runFold(visitor, rf, cf, fold_start);
                 ++cacheStats_.foldsLive;
             }

@@ -136,7 +136,11 @@ class DemandGenerator
     /** Run the full layer through the visitor. */
     void run(DemandVisitor& visitor) const;
 
-    /** Enable/disable the fold-replay demand cache (default on). */
+    /**
+     * Enable/disable the fold-replay demand cache (default on). Off
+     * walks every fold live: the reference the auditor and the tests
+     * compare the replay path against.
+     */
     void setFoldCache(bool enabled) { foldCache_ = enabled; }
 
     /** Fold-cache counters of the most recent run(). */
@@ -152,7 +156,6 @@ class DemandGenerator
     void runFoldIs(DemandVisitor& visitor, std::uint64_t rf,
                    std::uint64_t cf, Cycle fold_start) const;
 
-    void runCached(DemandVisitor& visitor) const;
     /**
      * Fold-equivalence class of (rf, cf): two full folds with the same
      * key emit shift-identical streams. False when the ifmap mapping

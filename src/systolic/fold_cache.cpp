@@ -1,7 +1,5 @@
 #include "systolic/fold_cache.hpp"
 
-#include "systolic/simd.hpp"
-
 namespace scalesim::systolic
 {
 
@@ -9,10 +7,29 @@ namespace
 {
 
 /**
- * Whole-arena shift: one SIMD add-constant pass instead of per-address
+ * dst[i] = src[i] + delta. Unsigned wraparound realizes negative
+ * deltas. The fixed-length inner loop and the non-aliasing pointers
+ * let GCC vectorize this at -O2 too, whose cost model rejects a loop
+ * that needs a scalar epilogue or a runtime alias check.
+ */
+void
+addConstant(const Addr* __restrict src, Addr* __restrict dst,
+            std::size_t n, Addr delta)
+{
+    constexpr std::size_t kChunk = 8;
+    std::size_t i = 0;
+    for (; i + kChunk <= n; i += kChunk) {
+        for (std::size_t j = 0; j < kChunk; ++j)
+            dst[i + j] = src[i + j] + delta;
+    }
+    for (; i < n; ++i)
+        dst[i] = src[i] + delta;
+}
+
+/**
+ * Whole-arena shift: one streaming add pass instead of per-address
  * arithmetic inside the cycle loop. A zero delta aliases the arena
- * directly. Negative deltas arrive as two's-complement Addr and the
- * unsigned wraparound addition realizes the signed shift.
+ * directly.
  */
 const std::vector<Addr>&
 shifted(const FoldCacheEntry::Stream& stream, std::int64_t delta,
@@ -21,8 +38,8 @@ shifted(const FoldCacheEntry::Stream& stream, std::int64_t delta,
     if (delta == 0)
         return stream.addrs;
     buf.resize(stream.addrs.size());
-    simd::addConstant(stream.addrs.data(), buf.data(),
-                      stream.addrs.size(), static_cast<Addr>(delta));
+    addConstant(stream.addrs.data(), buf.data(), buf.size(),
+                static_cast<Addr>(delta));
     return buf;
 }
 

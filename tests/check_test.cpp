@@ -557,29 +557,22 @@ TEST(AuditedRun, LayoutRunChecksReplayFidelity)
     topo.name = "small";
     topo.layers.push_back(LayerSpec::conv("conv", 30, 30, 3, 3, 8, 40, 1));
     topo.layers.push_back(LayerSpec::gemm("fc", 64, 48, 80));
-    for (bool cached : {true, false}) {
-        cfg.foldCache = cached;
-        Simulator sim(cfg);
-        const RunResult run = sim.run(topo);
-        ASSERT_TRUE(run.audited);
-        EXPECT_TRUE(run.audit.clean())
-            << [&] {
-                   std::ostringstream out;
-                   run.audit.writeReport(out);
-                   return out.str();
-               }();
-        EXPECT_EQ(run.audit.checksForLaw("layout.replayFidelity"),
-                  2 * topo.layers.size());
-        const double memoized =
-            run.stats.scalarValue("sim.foldCache.layoutMemoized");
-        EXPECT_EQ(memoized
-                      + run.stats.scalarValue("sim.foldCache.layoutWalked"),
-                  run.stats.scalarValue("sim.foldCache.folds"));
-        if (cached)
-            EXPECT_GT(memoized, 0.0);
-        else
-            EXPECT_EQ(memoized, 0.0);
-    }
+    Simulator sim(cfg);
+    const RunResult run = sim.run(topo);
+    ASSERT_TRUE(run.audited);
+    EXPECT_TRUE(run.audit.clean())
+        << [&] {
+               std::ostringstream out;
+               run.audit.writeReport(out);
+               return out.str();
+           }();
+    EXPECT_EQ(run.audit.checksForLaw("layout.replayFidelity"),
+              2 * topo.layers.size());
+    const double memoized =
+        run.stats.scalarValue("sim.foldCache.layoutMemoized");
+    EXPECT_EQ(memoized + run.stats.scalarValue("sim.foldCache.layoutWalked"),
+              run.stats.scalarValue("sim.foldCache.folds"));
+    EXPECT_GT(memoized, 0.0);
 }
 
 TEST(AuditedRun, AnalyticalModeIsClean)

@@ -351,10 +351,14 @@ class ReplayRecorder : public DemandVisitor
   public:
     void
     replayFold(std::uint64_t key, std::uint64_t canon_rf,
-               std::uint64_t canon_cf, const ReplayDeltas&,
+               std::uint64_t canon_cf, const ReplayDeltas& deltas,
                bool) override
     {
         canonicals[key].insert({canon_rf, canon_cf});
+        for (const std::int64_t d :
+             {deltas.ifmap, deltas.filter, deltas.ofmap}) {
+            negativeDeltas += d < 0 ? 1 : 0;
+        }
     }
     void cycle(Cycle, std::span<const Addr>, std::span<const Addr>,
                std::span<const Addr>, std::span<const Addr>) override
@@ -363,6 +367,8 @@ class ReplayRecorder : public DemandVisitor
     std::map<std::uint64_t,
              std::set<std::pair<std::uint64_t, std::uint64_t>>>
         canonicals;
+    /** Replay deltas below zero, which shift by unsigned wraparound. */
+    std::size_t negativeDeltas = 0;
 };
 
 } // namespace
@@ -403,6 +409,29 @@ TEST(FoldCacheEviction, RecapturedConvClassIsEquivalent)
         expectEquivalent(cached, live);
         EXPECT_GT(cached.layouts[0].memoized, 0u);
     }
+}
+
+TEST(FoldCacheEviction, NegativeReplayDeltaIsEquivalent)
+{
+    // IS on a 2x2 array over a 33x33 ofmap: 33 m-classes (every row
+    // fold has k-class 0) thrash the 32-entry cache, so row fold 0 ends
+    // with m-class 0 recaptured at column fold 528, and row fold 1
+    // replays its column fold 0 from there. The ifmap and ofmap deltas
+    // are negative and the replay shifts by unsigned wraparound.
+    const LayerSpec layer = LayerSpec::conv("c", 34, 34, 2, 2, 1, 2, 1);
+    const MemoryConfig mem;
+    const OperandMap operands = OperandMap::forLayer(layer, mem);
+    const GemmDims gemm = layer.toGemm();
+    DemandGenerator gen(gemm, Dataflow::InputStationary, 2, 2, operands);
+    ReplayRecorder recorder;
+    gen.run(recorder);
+    EXPECT_GT(recorder.negativeDeltas, 0u);
+
+    const auto cached = runPass(gemm, Dataflow::InputStationary, 2, 2,
+                                operands, true);
+    const auto live = runPass(gemm, Dataflow::InputStationary, 2, 2,
+                              operands, false);
+    expectEquivalent(cached, live);
 }
 
 TEST(FoldCacheStatsTest, DisabledRunsEverythingLive)

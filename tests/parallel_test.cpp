@@ -8,7 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <limits>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -95,6 +100,24 @@ TEST(ParallelFor, HandlesZeroAndTinyRanges)
     EXPECT_EQ(calls.load(), 0);
     parallelFor(1, 8, [&](std::uint64_t) { ++calls; });
     EXPECT_EQ(calls.load(), 1);
+}
+
+TEST(ParallelFor, CapsWorkersAtHardwareThreads)
+{
+    // A huge request (a sweep's "jobs" may be up to 2^32 - 1) must not
+    // start a thread per point. Each body sleeps, so an uncapped pool
+    // would spread the 64 points over up to 64 distinct threads.
+    std::mutex mutex;
+    std::set<std::thread::id> ids;
+    parallelFor(64, std::numeric_limits<unsigned>::max(),
+                [&](std::uint64_t) {
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(5));
+                    const std::lock_guard<std::mutex> lock(mutex);
+                    ids.insert(std::this_thread::get_id());
+                });
+    EXPECT_LE(ids.size(),
+              std::max(1u, std::thread::hardware_concurrency()));
 }
 
 TEST(ResolveJobs, ExplicitValuesPassThrough)
