@@ -76,15 +76,23 @@ usage()
     std::cerr << "\n";
 }
 
+/** Open `path` for writing; fatal() when it cannot be opened. */
+std::ofstream
+openOutput(const std::string& path)
+{
+    std::ofstream out(path);
+    if (!out)
+        fatal("cannot write %s", path.c_str());
+    return out;
+}
+
 /** Write `path` with `(object.*writer)(stream)`; fatal() when it
  *  cannot be opened. */
 template <typename Object, typename Writer>
 void
 writeFile(const std::string& path, const Object& object, Writer writer)
 {
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot write %s", path.c_str());
+    std::ofstream out = openOutput(path);
     (object.*writer)(out);
     inform("wrote %s", path.c_str());
 }
@@ -266,13 +274,17 @@ main(int argc, char** argv)
                cfg.arrayCols, toString(cfg.dataflow).c_str());
         core::Simulator sim(cfg);
         std::filesystem::create_directories(out_dir);
+        // Trace files are opened before the run, so that one that
+        // cannot be written fails it before any work.
         std::ofstream ifmap_trace, filter_trace, ofmap_trace,
-            oread_trace;
+            oread_trace, mem_trace;
         if (write_traces) {
-            ifmap_trace.open(out_dir + "/IFMAP_SRAM_TRACE.csv");
-            filter_trace.open(out_dir + "/FILTER_SRAM_TRACE.csv");
-            ofmap_trace.open(out_dir + "/OFMAP_SRAM_TRACE.csv");
-            oread_trace.open(out_dir + "/OFMAP_READ_SRAM_TRACE.csv");
+            ifmap_trace = openOutput(out_dir + "/IFMAP_SRAM_TRACE.csv");
+            filter_trace = openOutput(out_dir + "/FILTER_SRAM_TRACE.csv");
+            ofmap_trace = openOutput(out_dir + "/OFMAP_SRAM_TRACE.csv");
+            oread_trace =
+                openOutput(out_dir + "/OFMAP_READ_SRAM_TRACE.csv");
+            mem_trace = openOutput(out_dir + "/MEM_TRACE.csv");
             sim.attachTraces({&ifmap_trace, &filter_trace,
                               &ofmap_trace, &oread_trace});
         }
@@ -319,8 +331,7 @@ main(int argc, char** argv)
         }
 
         if (write_traces) {
-            std::ofstream mem_out(out_dir + "/MEM_TRACE.csv");
-            systolic::writeMemTrace(mem_out,
+            systolic::writeMemTrace(mem_trace,
                                     sim.tracingMemory()->records());
             inform("wrote SRAM and memory traces to %s",
                    out_dir.c_str());

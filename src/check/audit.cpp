@@ -4,7 +4,10 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdarg>
+#include <cstdio>
 #include <ostream>
+#include <string>
+#include <utility>
 
 #include "common/log.hpp"
 
@@ -46,6 +49,9 @@ lawTable()
         {"energy.demandAgreement",
          "trace-counted SRAM accesses equal the closed-form "
          "array-edge access counts"},
+        {"energy.replayFidelity",
+         "trace action counts with the fold cache and fold memo equal "
+         "a live re-count, field by field (spot-check)"},
         {"mem.trafficConservation",
          "scratchpad-issued DRAM words and requests equal the "
          "main-memory model's counters"},
@@ -367,6 +373,55 @@ InvariantAuditor::auditLayoutReplayFidelity(
            "live evaluation gives %" PRIu64 " conflict cycles, the "
            "evaluated run %" PRIu64,
            live.conflictCycles(), observed.conflictCycles());
+}
+
+void
+InvariantAuditor::auditEnergyReplayFidelity(
+    const systolic::DemandGenerator& generator,
+    const energy::ActionCountVisitor& observed, std::string_view scope)
+{
+    if (replayCheckMax_ > 0 && generator.totalCycles() > replayCheckMax_)
+        return; // spot-check: skip oversized layers
+    const char* law = "energy.replayFidelity";
+    systolic::DemandGenerator live_gen = generator;
+    live_gen.setFoldCache(false);
+    energy::ActionCountVisitor live(observed.config(),
+                                    observed.clockGating());
+    live_gen.run(live);
+    const energy::ActionCounts& want = live.counts();
+    const energy::ActionCounts& got = observed.counts();
+    // Every field must match. The SRAM random/repeat splits are the
+    // ones the fold memo produces (the others follow from them and the
+    // layer's cycles), so the message names those that differ, live
+    // value first.
+    std::string diff;
+    auto field = [&diff](const char* sram, const char* name, Count w,
+                         Count g) {
+        if (w == g)
+            return;
+        char buf[128];
+        std::snprintf(buf, sizeof(buf), " %s.%s %" PRIu64 " vs %" PRIu64,
+                      sram, name, static_cast<std::uint64_t>(w),
+                      static_cast<std::uint64_t>(g));
+        diff += buf;
+    };
+    const std::pair<const char*, energy::SramActionCounts
+                                     energy::ActionCounts::*> srams[] = {
+        {"ifmapSram", &energy::ActionCounts::ifmapSram},
+        {"filterSram", &energy::ActionCounts::filterSram},
+        {"ofmapSram", &energy::ActionCounts::ofmapSram},
+    };
+    for (const auto& [name, member] : srams) {
+        const energy::SramActionCounts& w = want.*member;
+        const energy::SramActionCounts& g = got.*member;
+        field(name, "readRandom", w.readRandom, g.readRandom);
+        field(name, "readRepeat", w.readRepeat, g.readRepeat);
+        field(name, "writeRandom", w.writeRandom, g.writeRandom);
+        field(name, "writeRepeat", w.writeRepeat, g.writeRepeat);
+    }
+    verify(want == got, law, scope,
+           "live re-count differs from the counted run:%s",
+           diff.empty() ? " (outside the SRAM splits)" : diff.c_str());
 }
 
 void

@@ -42,6 +42,10 @@
  *                            port capacity; NoC words equal SRAM words
  *   energy.demandAgreement   trace-counted SRAM accesses equal the
  *                            closed-form array-edge access counts
+ *   energy.replayFidelity    the action counter's counts with the
+ *                            fold cache (and its fold memo) equal a
+ *                            live re-count's, field by field
+ *                            (bounded-size layers)
  *   mem.trafficConservation  scratchpad-issued DRAM words/requests
  *                            equal the main-memory model's counters
  *   mc.arbConservation       multi-core arbiter grants equal the sum
@@ -190,6 +194,18 @@ class InvariantAuditor
     void auditLayoutReplayFidelity(
         const systolic::DemandGenerator& generator,
         const layout::BankConflictEvaluator& observed,
+        std::string_view scope);
+
+    /**
+     * energy.replayFidelity: re-count `generator`'s layer with the
+     * fold cache off through a fresh action counter of `observed`'s
+     * config, and compare every ActionCounts field with `observed`'s
+     * (which must have counted just this layer). Same size cap as
+     * foldCache.replayFidelity.
+     */
+    void auditEnergyReplayFidelity(
+        const systolic::DemandGenerator& generator,
+        const energy::ActionCountVisitor& observed,
         std::string_view scope);
 
     /** dram.bankConservation + dram.refreshBound over one channel. */

@@ -158,6 +158,8 @@ Simulator::reset()
     foldCacheStats_ = {};
     layoutFoldsMemoized_ = 0;
     layoutFoldsWalked_ = 0;
+    energyFoldsMemoized_ = 0;
+    energyFoldsWalked_ = 0;
     profiler_.reset();
     ranOnce_ = false;
 }
@@ -272,6 +274,10 @@ Simulator::runLayer(const LayerSpec& layer, std::uint64_t layer_index)
             layoutFoldsMemoized_ += layout_eval->foldsMemoized();
             layoutFoldsWalked_ += layout_eval->foldsWalked();
         }
+        if (action_visitor) {
+            energyFoldsMemoized_ += action_visitor->foldsMemoized();
+            energyFoldsWalked_ += action_visitor->foldsWalked();
+        }
         // Audits run outside every profiler phase so that --audit does
         // not inflate the per-phase seconds.
         if (auditor_ && layout_eval) {
@@ -279,6 +285,9 @@ Simulator::runLayer(const LayerSpec& layer, std::uint64_t layer_index)
                                                 result.name);
         }
         if (auditor_ && action_visitor) {
+            auditor_->auditEnergyReplayFidelity(generator,
+                                                *action_visitor,
+                                                result.name);
             // Audit the raw per-layer counts before stall/SIMD cycles
             // and sparse-metadata reads are folded in below; the
             // demand-agreement half only holds for the dense stream.
@@ -531,6 +540,12 @@ Simulator::registerStats(obs::StatsRegistry& reg) const
     reg.addScalar("sim.foldCache.layoutWalked",
                   "folds the layout sink evaluated cycle by cycle",
                   static_cast<double>(layoutFoldsWalked_));
+    reg.addScalar("sim.foldCache.energyMemoized",
+                  "folds the energy sink took from its replay memo",
+                  static_cast<double>(energyFoldsMemoized_));
+    reg.addScalar("sim.foldCache.energyWalked",
+                  "folds the energy sink counted address by address",
+                  static_cast<double>(energyFoldsWalked_));
     obs::FormulaSpec hit_rate;
     hit_rate.numerator = {{"sim.foldCache.replayed", 1.0}};
     hit_rate.denominator = {{"sim.foldCache.folds", 1.0}};

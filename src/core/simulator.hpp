@@ -295,9 +295,12 @@ class Simulator
     Cycle timeline_ = 0;
     /** Demand-generation fold-cache counters across layers. */
     systolic::FoldCacheStats foldCacheStats_;
-    /** Folds the layout sink took from its replay memo / walked. */
+    /** Folds the layout and energy sinks took from their replay
+     *  memos / walked. */
     Count layoutFoldsMemoized_ = 0;
     Count layoutFoldsWalked_ = 0;
+    Count energyFoldsMemoized_ = 0;
+    Count energyFoldsWalked_ = 0;
     /** Conservation-law auditor (only when SimConfig::audit). */
     std::unique_ptr<check::InvariantAuditor> auditor_;
     /** Wall-clock/RSS self-measurement of this instance's runs. */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "check/contract.hpp"
 #include "common/log.hpp"
 
 namespace scalesim::energy
@@ -10,9 +11,6 @@ namespace scalesim::energy
 
 namespace
 {
-
-/** Number of banked row-buffer trackers in the repeat lookup. */
-constexpr std::uint32_t kTrackerBanks = 32;
 
 /**
  * Add the counts that follow from one layer's totals (§VII-E): MAC
@@ -53,6 +51,26 @@ addLayerCounts(ActionCounts& counts, std::uint64_t rows,
 
     // Every SRAM<->array word traverses the array-edge NoC.
     counts.nocWords += ifmap_reads + filter_reads + ofmap_words;
+}
+
+/**
+ * Run `loop(lookup)` with the MRU lookup+update of `trackers`. The
+ * capacity test is made once per call, not once per address, so the
+ * capacity-4 loop stays branch-free.
+ */
+template <typename Trackers, typename Loop>
+void
+withLookup(Trackers& trackers, Loop&& loop)
+{
+    if (trackers.capacity == 4) {
+        loop([&trackers](std::uint64_t bank, std::uint64_t row) {
+            return trackers.access4(bank, row);
+        });
+    } else {
+        loop([&trackers](std::uint64_t bank, std::uint64_t row) {
+            return trackers.access(bank, row);
+        });
+    }
 }
 
 } // namespace
@@ -111,6 +129,38 @@ ActionCountVisitor::RowTrackerSet::access(std::uint64_t bank,
     return false;
 }
 
+// Inline, so that GCC at -O2 inlines it into the per-address loops.
+inline bool
+ActionCountVisitor::RowTrackerSet::access4(std::uint64_t bank,
+                                           std::uint64_t row)
+{
+    // Hot path for the default bank size. Systolic lanes stride across
+    // tracker banks, so hit depth (and hit/miss itself) is
+    // data-dependent and unpredictable — a branchy MRU walk eats a
+    // mispredict per address. Instead compute the hit mask and the
+    // rotated bank state unconditionally; everything lowers to
+    // conditional moves.
+    std::uint64_t* const base = rows.data() + bank * 4;
+    const std::uint32_t n = sizes[bank];
+    const std::uint64_t r0 = base[0];
+    const std::uint64_t r1 = base[1];
+    const std::uint64_t r2 = base[2];
+    const std::uint64_t r3 = base[3];
+    const bool h0 = r0 == row && n > 0;
+    const bool h1 = r1 == row && n > 1;
+    const bool h2 = r2 == row && n > 2;
+    const bool h3 = r3 == row && n > 3;
+    const bool hit = h0 | h1 | h2 | h3;
+    // MRU rotate-to-front (or insert-evict on a miss): slot i keeps its
+    // value when the hit was above it, else takes its predecessor's.
+    base[0] = row;
+    base[1] = h0 ? r1 : r0;
+    base[2] = (h0 | h1) ? r2 : r1;
+    base[3] = (h0 | h1 | h2) ? r3 : r2;
+    sizes[bank] = hit ? n : (n < 4 ? n + 1 : 4);
+    return hit;
+}
+
 ActionCountVisitor::ActionCountVisitor(const EnergyConfig& cfg,
                                        bool clock_gating)
     : cfg_(cfg), clockGating_(clock_gating)
@@ -134,11 +184,61 @@ ActionCountVisitor::beginLayer(const systolic::FoldGrid& grid,
     utilization_ = grid.utilization();
     arrayRows_ = grid.arrayRows();
     arrayCols_ = grid.arrayCols();
-    ifmapRows_.reset(kTrackerBanks, cfg_.bankSize);
-    filterRows_.reset(kTrackerBanks, cfg_.bankSize);
-    ofmapReadRows_.reset(kTrackerBanks, cfg_.bankSize);
-    ofmapWriteRows_.reset(kTrackerBanks, cfg_.bankSize);
+    for (RowTrackerSet& trackers : trackers_)
+        trackers.reset(kTrackerBanks, cfg_.bankSize);
+    for (std::size_t s = 0; s < kFoldStreams; ++s) {
+        foldTrackers_[s].reset(kTrackerBanks, cfg_.bankSize);
+        foldFirst_[s].resize(foldTrackers_[s].rows.size());
+    }
     layerStart_ = counts_;
+    memo_.clear();
+    mode_ = FoldMode::Outside;
+    foldsMemoized_ = 0;
+    foldsWalked_ = 0;
+}
+
+void
+ActionCountVisitor::beginFold(std::uint64_t rf, std::uint64_t cf,
+                              Cycle /*fold_start*/)
+{
+    mode_ = FoldMode::Walking;
+    foldKey_ = {rf, cf, {}};
+    foldRows_ = {};
+    accumulate_ = false;
+    walk_ = {};
+    for (RowTrackerSet& trackers : foldTrackers_)
+        std::fill(trackers.sizes.begin(), trackers.sizes.end(), 0);
+}
+
+void
+ActionCountVisitor::replayFold(std::uint64_t /*key*/,
+                               std::uint64_t canon_rf,
+                               std::uint64_t canon_cf,
+                               const systolic::ReplayDeltas& deltas,
+                               bool accumulate)
+{
+    // delta = q * rowSize + r with 0 <= r < rowSize. A negative q is
+    // kept as its two's-complement image, which adds to a row and
+    // reduces mod kTrackerBanks (a power of two) correctly.
+    const auto row_size = static_cast<std::int64_t>(cfg_.rowSize);
+    const std::int64_t stream_deltas[kFoldStreams] = {
+        deltas.ifmap, deltas.filter, deltas.ofmap};
+    foldKey_ = {canon_rf, canon_cf, {}};
+    for (std::size_t s = 0; s < kFoldStreams; ++s) {
+        const std::int64_t r =
+            ((stream_deltas[s] % row_size) + row_size) % row_size;
+        foldKey_.residues[s] = static_cast<std::uint64_t>(r);
+        foldRows_[s] =
+            static_cast<std::uint64_t>((stream_deltas[s] - r) / row_size);
+    }
+    accumulate_ = accumulate;
+    const auto it = memo_.find(foldKey_);
+    if (it == memo_.end()) {
+        mode_ = FoldMode::Recording;
+        return;
+    }
+    mode_ = FoldMode::Memoized;
+    memoized_ = &it->second;
 }
 
 void
@@ -146,55 +246,35 @@ ActionCountVisitor::countAccesses(RowTrackerSet& trackers,
                                   std::span<const Addr> addrs,
                                   Count& random, Count& repeat)
 {
-    const std::uint64_t row_size = cfg_.rowSize;
-    const std::uint32_t shift = rowShift_;
-    const std::uint32_t cap = trackers.capacity;
-    std::uint64_t* const rows = trackers.rows.data();
-    std::uint32_t* const sizes = trackers.sizes.data();
     Count repeats = 0;
-    if (cap == 4) {
-        // Hot path for the default bank size. Systolic lanes stride
-        // across tracker banks, so hit depth (and hit/miss itself) is
-        // data-dependent and unpredictable — a branchy MRU walk eats
-        // a mispredict per address. Instead compute the hit mask and
-        // the rotated bank state unconditionally; everything lowers
-        // to conditional moves.
+    withLookup(trackers, [&](auto lookup) {
         for (Addr addr : addrs) {
-            const std::uint64_t row =
-                shift != kNoRowShift ? addr >> shift : addr / row_size;
-            const std::uint64_t bank = row % kTrackerBanks;
-            std::uint64_t* const b = rows + bank * 4;
-            const std::uint64_t r0 = b[0];
-            const std::uint64_t r1 = b[1];
-            const std::uint64_t r2 = b[2];
-            const std::uint64_t r3 = b[3];
-            const std::uint32_t n = sizes[bank];
-            const bool h0 = r0 == row && n > 0;
-            const bool h1 = r1 == row && n > 1;
-            const bool h2 = r2 == row && n > 2;
-            const bool h3 = r3 == row && n > 3;
-            const bool hit = h0 | h1 | h2 | h3;
-            // MRU rotate-to-front (or insert-evict on a miss): slot i
-            // keeps its value when the hit was above it, else takes
-            // its predecessor's.
-            b[0] = row;
-            b[1] = h0 ? r1 : r0;
-            b[2] = (h0 | h1) ? r2 : r1;
-            b[3] = (h0 | h1 | h2) ? r3 : r2;
-            sizes[bank] = hit ? n : (n < 4 ? n + 1 : 4);
-            repeats += hit;
+            const std::uint64_t row = rowOf(addr);
+            repeats += lookup(row % kTrackerBanks, row);
         }
-    } else {
-        for (Addr addr : addrs) {
-            const std::uint64_t row =
-                shift != kNoRowShift ? addr >> shift : addr / row_size;
-            const std::uint64_t bank = row % kTrackerBanks;
-            if (trackers.access(bank, row))
-                ++repeats;
-        }
-    }
+    });
     repeat += repeats;
     random += addrs.size() - repeats;
+}
+
+std::pair<Count*, Count*>
+ActionCountVisitor::streamCounts(Stream s)
+{
+    switch (s) {
+      case kIfmap:
+        return {&counts_.ifmapSram.readRandom,
+                &counts_.ifmapSram.readRepeat};
+      case kFilter:
+        return {&counts_.filterSram.readRandom,
+                &counts_.filterSram.readRepeat};
+      case kOfmapWrite:
+        return {&counts_.ofmapSram.writeRandom,
+                &counts_.ofmapSram.writeRepeat};
+      case kOfmapRead:
+      case kStreams:
+        break;
+    }
+    return {&counts_.ofmapSram.readRandom, &counts_.ofmapSram.readRepeat};
 }
 
 void
@@ -204,17 +284,126 @@ ActionCountVisitor::cycle(Cycle /*clk*/,
                           std::span<const Addr> ofmap_reads,
                           std::span<const Addr> ofmap_writes)
 {
-    countAccesses(ifmapRows_, ifmap_reads, counts_.ifmapSram.readRandom,
-                  counts_.ifmapSram.readRepeat);
-    countAccesses(filterRows_, filter_reads,
-                  counts_.filterSram.readRandom,
-                  counts_.filterSram.readRepeat);
-    countAccesses(ofmapReadRows_, ofmap_reads,
-                  counts_.ofmapSram.readRandom,
-                  counts_.ofmapSram.readRepeat);
-    countAccesses(ofmapWriteRows_, ofmap_writes,
-                  counts_.ofmapSram.writeRandom,
-                  counts_.ofmapSram.writeRepeat);
+    // Every producer brackets its cycles with beginFold/endFold.
+    SIM_CHECK(mode_ != FoldMode::Outside, "cycle outside a fold");
+    if (mode_ == FoldMode::Memoized)
+        return;
+    const std::span<const Addr> streams[kFoldStreams] = {
+        ifmap_reads, filter_reads, ofmap_writes};
+    for (std::size_t s = 0; s < kFoldStreams; ++s)
+        summarize(static_cast<Stream>(s), streams[s]);
+    // A replay's reads are its writes (applied at endFold when it
+    // accumulates); a generated fold's are walked live.
+    if (mode_ == FoldMode::Walking) {
+        const auto [random, repeat] = streamCounts(kOfmapRead);
+        countAccesses(trackers_[kOfmapRead], ofmap_reads, *random,
+                      *repeat);
+    }
+}
+
+void
+ActionCountVisitor::summarize(Stream s, std::span<const Addr> addrs)
+{
+    // The fold-local trackers start empty, so their hits are exactly
+    // the carry-independent repeats, and while a bank holds fewer than
+    // `bankSize` rows none has been evicted: a miss there is the
+    // bank's next first touch.
+    RowTrackerSet& trackers = foldTrackers_[s];
+    std::uint64_t* const first = foldFirst_[s].data();
+    const std::uint64_t shift = foldRows_[s];
+    const std::uint32_t cap = trackers.capacity;
+    Count repeats = 0;
+    withLookup(trackers, [&](auto lookup) {
+        for (Addr addr : addrs) {
+            const std::uint64_t row = rowOf(addr) - shift;
+            const std::uint64_t bank = row % kTrackerBanks;
+            const std::uint32_t n = trackers.sizes[bank];
+            const bool hit = lookup(bank, row);
+            repeats += hit;
+            if (!hit && n < cap)
+                first[bank * cap + n] = row;
+        }
+    });
+    walk_[s].repeats += repeats;
+    walk_[s].accesses += addrs.size();
+}
+
+void
+ActionCountVisitor::finishSummary()
+{
+    for (std::size_t s = 0; s < kFoldStreams; ++s) {
+        const RowTrackerSet& trackers = foldTrackers_[s];
+        const std::vector<std::uint64_t>& first = foldFirst_[s];
+        StreamSummary& summary = walk_[s];
+        for (std::uint32_t b = 0; b < kTrackerBanks; ++b) {
+            // A bank recorded as many first touches as it holds rows:
+            // both are min(distinct rows, bankSize).
+            const std::size_t at =
+                static_cast<std::size_t>(b) * trackers.capacity;
+            const std::uint32_t n = trackers.sizes[b];
+            summary.firstTouches.insert(summary.firstTouches.end(),
+                                        first.begin() + at,
+                                        first.begin() + at + n);
+            summary.exitRows.insert(summary.exitRows.end(),
+                                    trackers.rows.begin() + at,
+                                    trackers.rows.begin() + at + n);
+            summary.offset[b + 1] = summary.offset[b] + n;
+        }
+    }
+}
+
+void
+ActionCountVisitor::applySummary(Stream s, const StreamSummary& summary,
+                                 std::uint64_t rows)
+{
+    RowTrackerSet& trackers = trackers_[s];
+    Count repeats = summary.repeats;
+    for (std::uint32_t b = 0; b < kTrackerBanks; ++b) {
+        const std::uint32_t lo = summary.offset[b];
+        const std::uint32_t n = summary.offset[b + 1] - lo;
+        if (n == 0)
+            continue;
+        const std::uint64_t bank = (b + rows) % kTrackerBanks;
+        for (std::uint32_t i = 0; i < n; ++i) {
+            repeats += trackers.access(
+                bank, summary.firstTouches[lo + i] + rows);
+        }
+        // The bank now holds the rows it holds at the fold's exit;
+        // only the order of its top n, the fold's own, differs.
+        std::uint64_t* const top =
+            trackers.rows.data() + bank * trackers.capacity;
+        for (std::uint32_t i = 0; i < n; ++i)
+            top[i] = summary.exitRows[lo + i] + rows;
+    }
+    const auto [random, repeat] = streamCounts(s);
+    *repeat += repeats;
+    *random += summary.accesses - repeats;
+}
+
+void
+ActionCountVisitor::endFold(std::uint64_t /*rf*/, std::uint64_t /*cf*/,
+                            Cycle /*fold_end*/)
+{
+    SIM_CHECK(mode_ != FoldMode::Outside, "endFold without beginFold");
+    const FoldSummary* summary = memoized_;
+    if (mode_ == FoldMode::Memoized) {
+        ++foldsMemoized_;
+    } else {
+        ++foldsWalked_;
+        finishSummary();
+        summary = &walk_;
+        if (memo_.size() < kMemoCapacity) {
+            summary = &memo_.try_emplace(foldKey_, std::move(walk_))
+                           .first->second;
+        }
+    }
+    for (std::size_t s = 0; s < kFoldStreams; ++s)
+        applySummary(static_cast<Stream>(s), (*summary)[s], foldRows_[s]);
+    if (accumulate_) {
+        applySummary(kOfmapRead, (*summary)[kOfmapWrite],
+                     foldRows_[kOfmapWrite]);
+    }
+    mode_ = FoldMode::Outside;
 }
 
 void

@@ -15,7 +15,7 @@ namespace
 {
 
 constexpr char kMagic[4] = {'S', 'S', 'L', 'C'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 /** Reject persisted payloads claiming more than this (corruption). */
 constexpr std::uint64_t kMaxPayloadBytes = 1ull << 30;
 
@@ -133,6 +133,8 @@ LayerResultCache::save(const std::string& path) const
         const std::uint32_t version = kVersion;
         out.write(reinterpret_cast<const char*>(&version),
                   sizeof(version));
+        const std::uint64_t schema = kCacheSchemaVersion;
+        out.write(reinterpret_cast<const char*>(&schema), sizeof(schema));
         MutexLock lock(mutex_);
         // Walk LRU back-to-front so a reload preserves recency order:
         // the most recently used entry is written last and therefore
@@ -169,11 +171,23 @@ LayerResultCache::load(const std::string& path)
         return false; // cold start, not an error
     char magic[4] = {};
     std::uint32_t version = 0;
+    std::uint64_t schema = 0;
     in.read(magic, sizeof(magic));
     in.read(reinterpret_cast<char*>(&version), sizeof(version));
+    in.read(reinterpret_cast<char*>(&schema), sizeof(schema));
     if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0
         || version != kVersion) {
         warn("cache file %s: bad header, ignoring", path.c_str());
+        MutexLock lock(mutex_);
+        ++stats_.loadRejected;
+        return false;
+    }
+    if (schema != kCacheSchemaVersion) {
+        // Entries of another schema would be keyed or encoded
+        // differently: none can be trusted.
+        warn("cache file %s: schema %llu, expected %llu; ignoring",
+             path.c_str(), static_cast<unsigned long long>(schema),
+             static_cast<unsigned long long>(kCacheSchemaVersion));
         MutexLock lock(mutex_);
         ++stats_.loadRejected;
         return false;

@@ -43,6 +43,13 @@ class StatsRegistry;
 namespace scalesim::serve
 {
 
+/**
+ * Version of the cache key schema and payload encoding: part of every
+ * key (cached_runner.cpp) and of a persisted cache file's header. Bump
+ * on any change to either.
+ */
+inline constexpr std::uint64_t kCacheSchemaVersion = 4;
+
 /** Monotonic counters describing cache behavior (sim.cache.*). */
 struct CacheStats
 {
@@ -136,8 +143,9 @@ class LayerResultCache
 
     /**
      * Persist every entry to `path` (atomic: temp file + rename).
-     * Format: magic + version, then per-entry [key, size, payload,
-     * FNV-1a(payload)]. Returns false on I/O failure.
+     * Format: magic + version + kCacheSchemaVersion, then per-entry
+     * [key, size, payload, FNV-1a(payload)]. Returns false on I/O
+     * failure.
      */
     bool save(const std::string& path) const SIM_EXCLUDES(mutex_);
 
@@ -145,7 +153,9 @@ class LayerResultCache
      * Load entries persisted by save() on top of the current contents.
      * Corruption-tolerant: stops at the first short read, checksum
      * mismatch, or absurd size, keeping the valid prefix and counting
-     * the rest as loadRejected. A missing file is just a cold start.
+     * the rest as loadRejected. A file of another kCacheSchemaVersion
+     * loads no entries and counts one loadRejected. A missing file is
+     * just a cold start.
      */
     bool load(const std::string& path) SIM_EXCLUDES(mutex_);
 

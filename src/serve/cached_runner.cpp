@@ -15,9 +15,6 @@ namespace scalesim::serve
 namespace
 {
 
-/** Bump on any change to the key schema or payload encoding. */
-constexpr std::uint64_t kCacheSchemaVersion = 3;
-
 void
 mixLayer(Fnv1a& h, const LayerSpec& layer)
 {

@@ -64,7 +64,7 @@ traceActionCounts(const GemmDims& gemm, Dataflow df,
 TEST(AuditReport, LawTableIsStableAndUnique)
 {
     const auto& laws = InvariantAuditor::laws();
-    EXPECT_EQ(laws.size(), 13u);
+    EXPECT_EQ(laws.size(), 14u);
     std::set<std::string> names;
     for (const auto& law : laws) {
         EXPECT_FALSE(law.description.empty()) << law.name;
@@ -74,6 +74,7 @@ TEST(AuditReport, LawTableIsStableAndUnique)
     EXPECT_TRUE(names.count("spad.stallAccounting"));
     EXPECT_TRUE(names.count("foldCache.replayFidelity"));
     EXPECT_TRUE(names.count("layout.replayFidelity"));
+    EXPECT_TRUE(names.count("energy.replayFidelity"));
     EXPECT_TRUE(names.count("run.totalsAccounting"));
     EXPECT_TRUE(names.count("cpi.conservation"));
 }
@@ -258,6 +259,65 @@ TEST(Auditor, LayoutReplayFidelityFaultInjection)
     InvariantAuditor capped;
     capped.setReplayCheckMaxCycles(1);
     capped.auditLayoutReplayFidelity(pass.generator, pass.eval, "c");
+    EXPECT_EQ(capped.report().checks(), 0u);
+}
+
+namespace
+{
+
+/** Action counter of a fold-cached pass over a conv layer. */
+struct EnergyPass
+{
+    LayerSpec layer = LayerSpec::conv("c", 14, 14, 3, 3, 8, 12, 1);
+    systolic::OperandMap operands =
+        systolic::OperandMap::forLayer(layer, MemoryConfig{});
+    systolic::DemandGenerator generator;
+    energy::ActionCountVisitor counter{EnergyConfig{}};
+
+    explicit EnergyPass(Dataflow df)
+        : generator(layer.toGemm(), df, 8, 8, operands)
+    {
+        generator.run(counter);
+    }
+};
+
+} // namespace
+
+TEST(Auditor, EnergyReplayFidelityCleanAcrossDataflows)
+{
+    for (Dataflow df : {Dataflow::OutputStationary,
+                        Dataflow::WeightStationary,
+                        Dataflow::InputStationary}) {
+        const EnergyPass pass(df);
+        EXPECT_GT(pass.counter.foldsMemoized(), 0u) << toString(df);
+        InvariantAuditor auditor;
+        auditor.auditEnergyReplayFidelity(pass.generator, pass.counter,
+                                          "c");
+        EXPECT_TRUE(auditor.report().clean()) << toString(df);
+        EXPECT_EQ(auditor.report().checksForLaw("energy.replayFidelity"),
+                  1u);
+    }
+}
+
+TEST(Auditor, EnergyReplayFidelityFaultInjection)
+{
+    // One extra one-access fold after the layer stands in for a
+    // memoized fold applied twice: the counts no longer match a live
+    // re-count.
+    EnergyPass pass(Dataflow::WeightStationary);
+    const std::vector<Addr> one = {pass.operands.ifmapAddr(0, 0)};
+    pass.counter.beginFold(0, 0, 0);
+    pass.counter.cycle(0, one, {}, {}, {});
+    pass.counter.endFold(0, 0, 1);
+    InvariantAuditor faulty;
+    faulty.auditEnergyReplayFidelity(pass.generator, pass.counter, "c");
+    ASSERT_EQ(violationsOf(faulty.report(), "energy.replayFidelity"), 1u);
+    EXPECT_NE(faulty.report().violations()[0].message.find("ifmapSram"),
+              std::string::npos);
+
+    InvariantAuditor capped;
+    capped.setReplayCheckMaxCycles(1);
+    capped.auditEnergyReplayFidelity(pass.generator, pass.counter, "c");
     EXPECT_EQ(capped.report().checks(), 0u);
 }
 
@@ -571,6 +631,37 @@ TEST(AuditedRun, LayoutRunChecksReplayFidelity)
     const double memoized =
         run.stats.scalarValue("sim.foldCache.layoutMemoized");
     EXPECT_EQ(memoized + run.stats.scalarValue("sim.foldCache.layoutWalked"),
+              run.stats.scalarValue("sim.foldCache.folds"));
+    EXPECT_GT(memoized, 0.0);
+}
+
+TEST(AuditedRun, EnergyRunChecksReplayFidelity)
+{
+    SimConfig cfg;
+    cfg.arrayRows = 16;
+    cfg.arrayCols = 16;
+    cfg.dataflow = Dataflow::WeightStationary;
+    cfg.mode = SimMode::Trace;
+    cfg.audit = true;
+    cfg.energy.enabled = true;
+    Topology topo;
+    topo.name = "small";
+    topo.layers.push_back(LayerSpec::conv("conv", 30, 30, 3, 3, 8, 40, 1));
+    topo.layers.push_back(LayerSpec::gemm("fc", 64, 48, 80));
+    Simulator sim(cfg);
+    const RunResult run = sim.run(topo);
+    ASSERT_TRUE(run.audited);
+    EXPECT_TRUE(run.audit.clean())
+        << [&] {
+               std::ostringstream out;
+               run.audit.writeReport(out);
+               return out.str();
+           }();
+    EXPECT_EQ(run.audit.checksForLaw("energy.replayFidelity"),
+              topo.layers.size());
+    const double memoized =
+        run.stats.scalarValue("sim.foldCache.energyMemoized");
+    EXPECT_EQ(memoized + run.stats.scalarValue("sim.foldCache.energyWalked"),
               run.stats.scalarValue("sim.foldCache.folds"));
     EXPECT_GT(memoized, 0.0);
 }

@@ -259,6 +259,29 @@ TEST(Simulator, RealWorkloadPrefixRuns)
     }
 }
 
+TEST(Simulator, EnergySinkMemoizesReplayedFolds)
+{
+    // The full resnet18 on the default 32x32 WS trace run: the energy
+    // sink takes most folds from its fold memo and counts the rest.
+    SimConfig cfg = baseConfig();
+    cfg.arrayRows = 32;
+    cfg.arrayCols = 32;
+    cfg.dataflow = Dataflow::WeightStationary;
+    cfg.mode = SimMode::Trace;
+    cfg.energy.enabled = true;
+    Simulator sim(cfg);
+    const RunResult run = sim.run(workloads::byName("resnet18"));
+    const double memoized =
+        run.stats.scalarValue("sim.foldCache.energyMemoized");
+    const double walked =
+        run.stats.scalarValue("sim.foldCache.energyWalked");
+    EXPECT_GT(memoized, 0.0);
+    EXPECT_GT(walked, 0.0);
+    EXPECT_EQ(memoized + walked,
+              run.stats.scalarValue("sim.foldCache.folds"));
+    EXPECT_LE(memoized, run.stats.scalarValue("sim.foldCache.replayed"));
+}
+
 TEST(Simulator, DataflowsProduceDifferentCycleProfiles)
 {
     const Topology topo = tinyTopology();

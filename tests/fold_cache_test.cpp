@@ -5,10 +5,11 @@
  * sparse-WS gathering) and all three dataflows, a cached run must be
  * byte-identical to an uncached run through every consumer — SRAM trace
  * text (all four streams), CountingVisitor totals, the trace-driven
- * energy action counts, and the bank-conflict evaluator (whose replay
- * memo skips replayed folds) under layouts that hit every shift-period
- * rule. Also pins that the replay path actually fires on the shapes
- * designed to hit it.
+ * energy action counts under several row and bank sizes, and the
+ * bank-conflict evaluator under layouts that hit every shift-period
+ * rule (both of which memoize replayed folds and skip their cycles).
+ * Also pins that the replay path actually fires on the shapes designed
+ * to hit it.
  */
 
 #include <gtest/gtest.h>
@@ -70,6 +71,30 @@ struct LayoutResult
     Count walked = 0;
 };
 
+/**
+ * One action-counter configuration of the A/B matrix: bank sizes 1, 3
+ * and 8 take the generic MRU walk and 4 the conditional-move one; row
+ * size 24 divides where 16 and 32 shift, and leaves replay deltas that
+ * are multiples of 8 with non-zero residues.
+ */
+struct EnergyVariant
+{
+    std::uint32_t rowSize;
+    std::uint32_t bankSize;
+};
+
+constexpr EnergyVariant kEnergies[] = {
+    {32, 4}, {32, 1}, {32, 3}, {32, 8}, {16, 4}, {24, 4}, {24, 3}, {16, 8},
+};
+
+/** What one action counter reported for a pass. */
+struct EnergyResult
+{
+    energy::ActionCounts actions;
+    Count memoized = 0;
+    Count walked = 0;
+};
+
 /** Everything one demand pass produces, captured for comparison. */
 struct PassResult
 {
@@ -82,7 +107,7 @@ struct PassResult
     Count ofmapReads = 0;
     Count ofmapWrites = 0;
     Cycle lastCycle = 0;
-    energy::ActionCounts actions;
+    std::vector<EnergyResult> energies;
     std::vector<LayoutResult> layouts;
     FoldCacheStats cache;
 };
@@ -98,9 +123,17 @@ runPass(const GemmDims& gemm, Dataflow df, std::uint32_t rows,
     std::ostringstream ifmap, filter, ofmap, oread;
     SramTraceWriter writer(&ifmap, &filter, &ofmap, &oread);
     CountingVisitor counter;
-    EnergyConfig ecfg;
-    energy::ActionCountVisitor actions(ecfg);
-    std::vector<DemandVisitor*> sinks = {&writer, &counter, &actions};
+    std::vector<DemandVisitor*> sinks = {&writer, &counter};
+    std::vector<energy::ActionCountVisitor> counters;
+    counters.reserve(std::size(kEnergies));
+    for (const EnergyVariant& v : kEnergies) {
+        EnergyConfig ecfg;
+        ecfg.rowSize = v.rowSize;
+        ecfg.bankSize = v.bankSize;
+        counters.emplace_back(ecfg);
+    }
+    for (auto& c : counters)
+        sinks.push_back(&c);
     std::vector<layout::BankConflictEvaluator> evals;
     evals.reserve(std::size(kLayouts));
     for (const LayoutVariant& v : kLayouts) {
@@ -127,7 +160,10 @@ runPass(const GemmDims& gemm, Dataflow df, std::uint32_t rows,
     r.ofmapReads = counter.ofmapReads;
     r.ofmapWrites = counter.ofmapWrites;
     r.lastCycle = counter.lastCycle;
-    r.actions = actions.counts();
+    for (const auto& c : counters) {
+        r.energies.push_back(
+            {c.counts(), c.foldsMemoized(), c.foldsWalked()});
+    }
     for (const auto& eval : evals) {
         r.layouts.push_back({eval.slowedCycles(), eval.conflictCycles(),
                              eval.foldsMemoized(), eval.foldsWalked()});
@@ -181,7 +217,17 @@ expectEquivalent(const PassResult& cached, const PassResult& live)
     EXPECT_EQ(cached.ofmapReads, live.ofmapReads);
     EXPECT_EQ(cached.ofmapWrites, live.ofmapWrites);
     EXPECT_EQ(cached.lastCycle, live.lastCycle);
-    expectActionsEqual(cached.actions, live.actions);
+    ASSERT_EQ(cached.energies.size(), live.energies.size());
+    for (std::size_t i = 0; i < cached.energies.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "energy variant " << i);
+        const EnergyResult& c = cached.energies[i];
+        const EnergyResult& l = live.energies[i];
+        expectActionsEqual(c.actions, l.actions);
+        EXPECT_EQ(c.memoized + c.walked, cached.cache.foldsTotal);
+        EXPECT_LE(c.memoized, cached.cache.foldsReplayed);
+        EXPECT_EQ(l.memoized, 0u) << "an uncached pass never memoizes";
+        EXPECT_EQ(l.walked, live.cache.foldsTotal);
+    }
     // The uncached pass must never replay; both walk the same folds.
     EXPECT_EQ(live.cache.foldsReplayed, 0u);
     EXPECT_EQ(cached.cache.foldsTotal, live.cache.foldsTotal);
@@ -236,6 +282,20 @@ TEST_P(FoldCacheAb, FullFoldGemmReplays)
               cached.cache.foldsReplayed + cached.cache.foldsLive);
     // Row-major 16/128 lines leave every shift residue 0 here.
     EXPECT_GT(cached.layouts[0].memoized, 0u);
+}
+
+TEST_P(FoldCacheAb, EnergyMemoServesRepeatedResidues)
+{
+    // 8 x 8 folds of 8-word steps: replay deltas take few distinct
+    // residues mod every row size, so each action counter serves some
+    // replays from its fold memo.
+    const GemmDims gemm{64, 64, 64};
+    const OperandMap operands = makeOperands(gemm);
+    const auto cached = runPass(gemm, GetParam(), 8, 8, operands, true);
+    const auto live = runPass(gemm, GetParam(), 8, 8, operands, false);
+    expectEquivalent(cached, live);
+    for (const EnergyResult& e : cached.energies)
+        EXPECT_GT(e.memoized, 0u);
 }
 
 TEST_P(FoldCacheAb, WideGemmIsEquivalent)
