@@ -77,7 +77,7 @@ Channel::enqueue(const DecodedAddr& addr, bool write, Cycle arrival)
                   && (it + 1 == pending_.end()
                       || it->arrival <= (it + 1)->arrival),
               "pending queue stays sorted by arrival");
-    queueOccupancy_.sample(static_cast<double>(pending_.size()));
+    queueOccupancy_.sample(static_cast<std::uint64_t>(pending_.size()));
     stats_.firstArrival = std::min(stats_.firstArrival, arrival);
     return req.seq;
 }
@@ -280,11 +280,9 @@ Channel::serviceOne(const Pending& req)
         stats_.readQueueWait += queue_wait;
         stats_.readRefreshWait += refresh_wait;
         stats_.readServiceTime += service;
-        readLatency_.sample(static_cast<double>(data_end
-                                                - req.arrival));
-        readQueueWaitHist_.sample(static_cast<double>(queue_wait));
-        readServiceHist_.sample(
-            static_cast<double>(refresh_wait + service));
+        readLatency_.sample(data_end - req.arrival);
+        readQueueWaitHist_.sample(queue_wait);
+        readServiceHist_.sample(refresh_wait + service);
         SIM_CHECK_EQ(queue_wait + refresh_wait + service,
                      data_end - req.arrival,
                      "read latency components are conserved");

@@ -1,53 +1,107 @@
 #include "multicore/arbiter.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "check/contract.hpp"
 #include "common/log.hpp"
 
 namespace scalesim::multicore
 {
 
-RoundRobinArbiter::RoundRobinArbiter(std::size_t ports,
-                                     bool scan_reverse)
-    : ports_(ports), scanReverse_(scan_reverse)
+RoundRobinArbiter::RoundRobinArbiter(std::size_t ports)
+    : ports_(ports), next_(ports, kIdle), minSet_((ports + 63) / 64, 0)
 {
     if (ports_ == 0)
         fatal("arbiter needs at least one port");
 }
 
-std::size_t
-RoundRobinArbiter::grant(const std::vector<Cycle>& next, Cycle none)
+void
+RoundRobinArbiter::update(std::size_t port, Cycle cycle)
 {
-    std::size_t best = kNone;
-    Cycle best_cycle = 0;
-    std::size_t best_dist = 0;
-    for (std::size_t s = 0; s < ports_; ++s) {
-        const std::size_t i = scanReverse_ ? ports_ - 1 - s : s;
-        if (next[i] == none)
-            continue;
-        const std::size_t dist = (i + ports_ - nextPriority_) % ports_;
-        if (best == kNone || next[i] < best_cycle
-            || (next[i] == best_cycle && dist < best_dist)) {
-            best = i;
-            best_cycle = next[i];
-            best_dist = dist;
+    SIM_CHECK_LT(port, ports_, "arbiter port out of range");
+    next_[port] = cycle;
+    if (stale_)
+        return; // the next grant rescans every port anyway
+    const std::uint64_t bit = std::uint64_t{1} << (port % 64);
+    if (cycle != kIdle && (minCount_ == 0 || cycle < min_)) {
+        // A new strict minimum: this port is alone at it.
+        std::fill(minSet_.begin(), minSet_.end(), 0);
+        minSet_[port / 64] = bit;
+        minCount_ = 1;
+        min_ = cycle;
+        return;
+    }
+    const bool was_in = (minSet_[port / 64] & bit) != 0;
+    if (minCount_ > 0 && cycle == min_) {
+        if (!was_in) {
+            minSet_[port / 64] |= bit;
+            ++minCount_;
+        }
+    } else if (was_in) {
+        minSet_[port / 64] &= ~bit;
+        if (--minCount_ == 0)
+            stale_ = true;
+    }
+}
+
+void
+RoundRobinArbiter::rescan()
+{
+    min_ = std::ranges::min(next_);
+    std::fill(minSet_.begin(), minSet_.end(), 0);
+    minCount_ = 0;
+    if (min_ != kIdle) {
+        for (std::size_t i = 0; i < ports_; ++i) {
+            if (next_[i] == min_) {
+                minSet_[i / 64] |= std::uint64_t{1} << (i % 64);
+                ++minCount_;
+            }
         }
     }
-    if (best == kNone)
+    stale_ = false;
+}
+
+std::size_t
+RoundRobinArbiter::grant()
+{
+    if (stale_)
+        rescan();
+    if (minCount_ == 0)
         return kNone;
 
-    // Contenders = ports that wanted the granted cycle too.
-    std::uint64_t waiting = 0;
-    for (std::size_t i = 0; i < ports_; ++i) {
-        if (i != best && next[i] != none && next[i] == best_cycle)
-            ++waiting;
+    // First set bit at or after the round-robin pointer, wrapping: the
+    // pointer's own word above the pointer, then the following words,
+    // then the pointer's word again from bit 0 (its high bits are
+    // known clear by then).
+    const std::size_t words = minSet_.size();
+    const std::size_t first = nextPriority_ / 64;
+    std::size_t best = kNone;
+    const std::uint64_t above =
+        minSet_[first] & (~std::uint64_t{0} << (nextPriority_ % 64));
+    if (above != 0) {
+        best = first * 64 + std::countr_zero(above);
+    } else {
+        for (std::size_t k = 1; k <= words; ++k) {
+            const std::size_t w = (first + k) % words;
+            if (minSet_[w] != 0) {
+                best = w * 64 + std::countr_zero(minSet_[w]);
+                break;
+            }
+        }
     }
+    SIM_CHECK(best < ports_ && next_[best] == min_,
+              "the grantee is a port at the minimum cycle");
+
+    // Contenders = the other ports that wanted the granted cycle.
+    const std::uint64_t waiting = minCount_ - 1;
     ++stats_.grants;
     stats_.arbConflicts += waiting;
-    stats_.waiters.sample(static_cast<double>(waiting));
+    stats_.waiters.sample(waiting);
     SIM_CHECK_EQ(stats_.waiters.count, stats_.grants,
                  "exactly one contention sample per grant");
 
-    nextPriority_ = (best + 1) % ports_;
+    nextPriority_ = best + 1 == ports_ ? 0 : best + 1;
     return best;
 }
 
@@ -60,14 +114,16 @@ MemoryPort::issueRead(Addr addr, Count words, Cycle now)
     // wait at the shared serialization point is reclassified from
     // queue wait to port wait — that is the cross-core contention the
     // CPI stack surfaces as l2Wait.
-    const systolic::MemoryStats before = shared_.stats();
+    const systolic::MemoryStats& shared = shared_.stats();
+    const Cycle queue_before = shared.readQueueWait;
+    const Cycle refresh_before = shared.readRefresh;
+    const Cycle service_before = shared.readService;
     const Cycle done = shared_.issueRead(addr, words, now);
-    const systolic::MemoryStats after = shared_.stats();
     const Cycle wait = shared_.lastIssueWait();
     const Cycle latency = done - now;
-    const Cycle queue_delta = after.readQueueWait - before.readQueueWait;
-    const Cycle refresh_delta = after.readRefresh - before.readRefresh;
-    const Cycle service_delta = after.readService - before.readService;
+    const Cycle queue_delta = shared.readQueueWait - queue_before;
+    const Cycle refresh_delta = shared.readRefresh - refresh_before;
+    const Cycle service_delta = shared.readService - service_before;
     // The issue wait is reclassified from queue wait to port wait, but
     // only the overlap actually present in the backend's queue
     // accounting: when the backend reports less queue wait than the

@@ -11,6 +11,7 @@
 #define SCALESIM_MULTICORE_ARBITER_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "obs/stats.hpp"
@@ -37,36 +38,60 @@ struct ArbiterStats
 
 /**
  * Round-robin arbiter over N requester ports. Each port advertises the
- * cycle of its next pending transaction (or `none` when idle/done);
- * grant() picks the earliest, breaking same-cycle ties round-robin
- * from the port after the previous grantee.
+ * cycle of its next pending transaction through update() (kIdle when
+ * idle/done); grant() picks the earliest, breaking same-cycle ties
+ * round-robin from the port after the previous grantee.
  *
- * Selection is an argmin over the total-order key (cycle, cyclic
- * distance from the round-robin pointer), so the result is independent
- * of the order ports are scanned in — grant(scanReverse) exists purely
- * to let tests prove that.
+ * The state is kept incrementally, so a grant costs O(1) bookkeeping
+ * between rescans: each port's next cycle, the minimum over the
+ * pending ports, and a bitmask of the ports at that minimum. update()
+ * adjusts the mask in place; a full rescan runs only when the last
+ * port leaves the minimum set. The winner is the first set bit at or
+ * after the round-robin pointer, wrapping around; the contenders are
+ * the other set bits. The result equals an argmin over the total-order
+ * key (cycle, cyclic distance from the pointer), which the contention
+ * tests keep as the reference.
  */
 class RoundRobinArbiter
 {
   public:
-    explicit RoundRobinArbiter(std::size_t ports,
-                               bool scan_reverse = false);
+    /** Every port starts idle. */
+    explicit RoundRobinArbiter(std::size_t ports);
 
     /** Returned by grant() when every port is idle. */
     static constexpr std::size_t kNone = ~static_cast<std::size_t>(0);
+    /** Cycle of a port with nothing pending. */
+    static constexpr Cycle kIdle = ~static_cast<Cycle>(0);
+
+    /** Port `port`'s next pending transaction is at `cycle` (kIdle:
+     *  nothing pending). */
+    void update(std::size_t port, Cycle cycle);
 
     /**
-     * Pick the next port to serve. `next[i]` is port i's pending
-     * transaction cycle, `none` marking idle ports. Returns kNone when
-     * nothing is pending.
+     * Pick the next port to serve and record the grant. Returns kNone
+     * when nothing is pending. The granted port keeps its cycle until
+     * the caller update()s it.
      */
-    std::size_t grant(const std::vector<Cycle>& next, Cycle none);
+    std::size_t grant();
 
     const ArbiterStats& stats() const { return stats_; }
 
   private:
+    /** Rebuild min_ and the minimum set from next_. */
+    void rescan();
+
     std::size_t ports_;
-    bool scanReverse_;
+    /** Each port's next pending cycle (kIdle when idle). */
+    std::vector<Cycle> next_;
+    /** Minimum of next_ over pending ports; valid while minCount_ > 0
+     *  and !stale_. */
+    Cycle min_ = kIdle;
+    /** Bitmask of the ports whose next cycle equals min_. */
+    std::vector<std::uint64_t> minSet_;
+    /** Set bits in minSet_. */
+    std::size_t minCount_ = 0;
+    /** The minimum set emptied; rescan before the next grant. */
+    bool stale_ = false;
     /** Port after the previous grantee gets top tie-break priority. */
     std::size_t nextPriority_ = 0;
     ArbiterStats stats_;

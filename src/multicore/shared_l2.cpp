@@ -8,11 +8,21 @@
 namespace scalesim::multicore
 {
 
+namespace
+{
+
+/** table_ starts at 16 buckets and doubles as lines arrive. */
+constexpr int kInitialTableBits = 4;
+
+} // namespace
+
 SharedL2::SharedL2(const SharedL2Config& cfg,
                    systolic::MainMemory& backing)
     : cfg_(cfg), backing_(backing),
       capacityLines_(cfg.capacityWords
-                     / std::max<std::uint32_t>(1, cfg.lineWords))
+                     / std::max<std::uint32_t>(1, cfg.lineWords)),
+      table_(std::size_t{1} << kInitialTableBits, kNil),
+      tableBits_(kInitialTableBits)
 {
     if (cfg_.lineWords == 0)
         fatal("L2 line size must be non-zero");
@@ -25,24 +35,114 @@ SharedL2::SharedL2(const SharedL2Config& cfg,
 void
 SharedL2::invalidate()
 {
-    lru_.clear();
-    index_.clear();
+    // Keep the arrays' storage: the next layer refills them.
+    slots_.clear();
+    head_ = tail_ = kNil;
+    std::fill(table_.begin(), table_.end(), kNil);
+}
+
+std::size_t
+SharedL2::home(std::uint64_t line) const
+{
+    // Fibonacci hashing spreads runs of consecutive lines.
+    return static_cast<std::size_t>((line * 0x9E3779B97F4A7C15ull)
+                                    >> (64 - tableBits_));
+}
+
+std::size_t
+SharedL2::probe(std::uint64_t line) const
+{
+    const std::size_t mask = table_.size() - 1;
+    std::size_t pos = home(line);
+    while (table_[pos] != kNil && slots_[table_[pos]].line != line)
+        pos = (pos + 1) & mask;
+    return pos;
+}
+
+void
+SharedL2::eraseBucket(std::size_t pos)
+{
+    const std::size_t mask = table_.size() - 1;
+    std::size_t hole = pos;
+    for (std::size_t i = (pos + 1) & mask; table_[i] != kNil;
+         i = (i + 1) & mask) {
+        // The entry at i may fill the hole when the hole lies on its
+        // probe path, i.e. cyclically within [its home, i).
+        const std::size_t h = home(slots_[table_[i]].line);
+        if (((i - h) & mask) >= ((i - hole) & mask)) {
+            table_[hole] = table_[i];
+            hole = i;
+        }
+    }
+    table_[hole] = kNil;
+}
+
+void
+SharedL2::growTable()
+{
+    ++tableBits_;
+    table_.assign(std::size_t{1} << tableBits_, kNil);
+    for (std::uint32_t s = 0; s < slots_.size(); ++s)
+        table_[probe(slots_[s].line)] = s;
+}
+
+void
+SharedL2::unlink(std::uint32_t s)
+{
+    Slot& slot = slots_[s];
+    if (slot.prev != kNil)
+        slots_[slot.prev].next = slot.next;
+    else
+        head_ = slot.next;
+    if (slot.next != kNil)
+        slots_[slot.next].prev = slot.prev;
+    else
+        tail_ = slot.prev;
+}
+
+void
+SharedL2::pushFront(std::uint32_t s)
+{
+    slots_[s].prev = kNil;
+    slots_[s].next = head_;
+    if (head_ != kNil)
+        slots_[head_].prev = s;
+    else
+        tail_ = s;
+    head_ = s;
 }
 
 bool
 SharedL2::lookup(std::uint64_t line)
 {
-    auto it = index_.find(line);
-    if (it != index_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);
+    const std::size_t pos = probe(line);
+    if (table_[pos] != kNil) {
+        const std::uint32_t s = table_[pos];
+        if (s != head_) {
+            unlink(s);
+            pushFront(s);
+        }
         return true;
     }
-    lru_.push_front(line);
-    index_[line] = lru_.begin();
-    if (lru_.size() > capacityLines_) {
-        index_.erase(lru_.back());
-        lru_.pop_back();
+    std::uint32_t s;
+    if (slots_.size() < capacityLines_) {
+        if (slots_.size() == kNil)
+            fatal("L2 holds more lines than a slot index addresses");
+        s = static_cast<std::uint32_t>(slots_.size());
+        slots_.push_back({line, kNil, kNil});
+        if (2 * slots_.size() > table_.size())
+            growTable(); // re-inserts the new slot too
+        else
+            table_[pos] = s;
+    } else {
+        // Full: the least recently used line gives up its slot.
+        s = tail_;
+        eraseBucket(probe(slots_[s].line));
+        unlink(s);
+        slots_[s].line = line;
+        table_[probe(line)] = s;
     }
+    pushFront(s);
     return false;
 }
 

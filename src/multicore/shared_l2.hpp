@@ -14,8 +14,8 @@
 #ifndef SCALESIM_MULTICORE_SHARED_L2_HH
 #define SCALESIM_MULTICORE_SHARED_L2_HH
 
-#include <list>
-#include <unordered_map>
+#include <cstdint>
+#include <vector>
 
 #include "systolic/memory.hpp"
 
@@ -84,16 +84,48 @@ class SharedL2 : public systolic::MainMemory
     /** Occupy the shared L2 port; returns transfer completion. */
     Cycle busOccupy(Count words, Cycle now);
 
+    /** Home bucket of `line` in table_. */
+    std::size_t home(std::uint64_t line) const;
+    /** Bucket holding `line`, or the empty bucket ending its probe. */
+    std::size_t probe(std::uint64_t line) const;
+    /** Empty bucket `pos`, shifting later entries of its probe run
+     *  back so lookups never need tombstones. */
+    void eraseBucket(std::size_t pos);
+    /** Double table_ and re-insert every resident slot. */
+    void growTable();
+    /** Unlink slot `s` from the recency list. */
+    void unlink(std::uint32_t s);
+    /** Link slot `s` in as the most recently used. */
+    void pushFront(std::uint32_t s);
+
     SharedL2Config cfg_;
     systolic::MainMemory& backing_;
     SharedL2Stats l2Stats_;
     std::uint64_t capacityLines_;
-    std::list<std::uint64_t> lru_;
-    // Keyed access only: replacement decisions walk lru_, so hash
-    // order never influences hit/miss sequences or the cycle counts
-    // derived from them (scalesim_lint unordered-iteration-to-output).
-    std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
-        index_;
+
+    /** No slot: list ends and empty table buckets. */
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+    /** One resident line and its links in the recency list. */
+    struct Slot
+    {
+        std::uint64_t line;
+        std::uint32_t prev;
+        std::uint32_t next;
+    };
+    /**
+     * Resident lines, one slot each, allocated as lines arrive (never
+     * beyond capacityLines_); once full, a miss reuses the LRU slot.
+     * Replacement walks the intrusive list head_..tail_ (most to least
+     * recent), never table_, so hash order cannot influence hit/miss
+     * sequences (scalesim_lint unordered-iteration-to-output).
+     */
+    std::vector<Slot> slots_;
+    std::uint32_t head_ = kNil;
+    std::uint32_t tail_ = kNil;
+    /** Open-addressed (linear probing) line -> slot index, kNil for
+     *  empty; a power of two at most half full. */
+    std::vector<std::uint32_t> table_;
+    int tableBits_ = 0;
     double busFree_ = 0.0;
     Cycle lastWait_ = 0;
 };

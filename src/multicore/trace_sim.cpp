@@ -188,21 +188,20 @@ MultiCoreTraceSimulator::runLayer(const LayerSpec& layer)
     // cursors advance in nondecreasing time and contention is FCFS in
     // simulated time rather than in core-enumeration order.
     if (!runs.empty()) {
-        RoundRobinArbiter arb(runs.size(), cfg_.arbScanReverse);
         // nextEventCycle() depends only on the engine's own state (see
         // its contract), so stepping the granted engine can only move
-        // that one entry — maintain next[] incrementally instead of
-        // re-polling every engine per grant.
-        std::vector<Cycle> next(runs.size());
+        // that one port's cycle: the arbiter is told just that change.
+        static_assert(systolic::DoubleBufferedScratchpad::kNoEvent
+                      == RoundRobinArbiter::kIdle);
+        RoundRobinArbiter arb(runs.size());
         for (std::size_t k = 0; k < runs.size(); ++k)
-            next[k] = runs[k].l1->nextEventCycle();
+            arb.update(k, runs[k].l1->nextEventCycle());
         for (;;) {
-            const std::size_t g = arb.grant(
-                next, systolic::DoubleBufferedScratchpad::kNoEvent);
+            const std::size_t g = arb.grant();
             if (g == RoundRobinArbiter::kNone)
                 break;
             runs[g].l1->step();
-            next[g] = runs[g].l1->nextEventCycle();
+            arb.update(g, runs[g].l1->nextEventCycle());
         }
         result.arb = arb.stats();
     }

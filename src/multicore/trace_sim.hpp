@@ -72,12 +72,6 @@ struct MultiCoreTraceConfig
     /** Read by nothing. Kept only because perfbench/probe.cpp sets
         it; goes at the next benchmark re-anchor. */
     unsigned jobs = 0;
-    /**
-     * Scan arbiter ports in reverse enumeration order. The grant is an
-     * argmin over a total-order key, so results must not change; the
-     * knob exists for tests to prove enumeration-order independence.
-     */
-    bool arbScanReverse = false;
 
     /**
      * The grid `scalesim_cli --multicore PRxPC` runs: `pr` x `pc`

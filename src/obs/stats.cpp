@@ -1,6 +1,7 @@
 #include "obs/stats.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <ostream>
 
@@ -20,6 +21,28 @@ Histogram::sample(double value)
     SIM_CHECK_LE(0.0, value, "negative histogram sample");
     if (value < 0.0)
         value = 0.0;
+    unsigned bucket = 0;
+    if (value >= 1.0) {
+        const double log2v = std::log2(value);
+        bucket = 1 + static_cast<unsigned>(log2v);
+        if (bucket >= kBuckets)
+            bucket = kBuckets - 1;
+    }
+    add(value, bucket);
+}
+
+void
+Histogram::sample(std::uint64_t value)
+{
+    // Bucket i >= 1 holds [2^(i-1), 2^i), which for an integer is its
+    // bit width.
+    add(static_cast<double>(value),
+        std::min<unsigned>(std::bit_width(value), kBuckets - 1));
+}
+
+void
+Histogram::add(double value, unsigned bucket)
+{
     if (count == 0) {
         minSample = maxSample = value;
     } else {
@@ -29,13 +52,6 @@ Histogram::sample(double value)
     ++count;
     sum += value;
     sumSq += value * value;
-    unsigned bucket = 0;
-    if (value >= 1.0) {
-        const double log2v = std::log2(value);
-        bucket = 1 + static_cast<unsigned>(log2v);
-        if (bucket >= kBuckets)
-            bucket = kBuckets - 1;
-    }
     ++buckets[bucket];
 }
 

@@ -39,8 +39,8 @@ namespace scalesim::obs
  * negative values are clamped to 0 when contracts are compiled out).
  * Bucket 0 counts samples in [0, 1) — not just exact zeros — and
  * bucket i (i >= 1) counts samples in [2^(i-1), 2^i); the last bucket
- * is the overflow. Cheap enough to live inside hot components (one
- * clz + increment).
+ * is the overflow. Cheap enough to live inside hot components: an
+ * integer sample costs one clz + increment.
  */
 struct Histogram
 {
@@ -54,6 +54,9 @@ struct Histogram
     double maxSample = 0.0;
 
     void sample(double value);
+    /** Integer sample: the same bucket, count and moments as
+     *  sample(double(value)), found with a bit scan. */
+    void sample(std::uint64_t value);
     void merge(const Histogram& other);
 
     double mean() const { return count ? sum / count : 0.0; }
@@ -70,6 +73,10 @@ struct Histogram
 
     /** Inclusive-exclusive [lo, hi) value range of bucket `i`. */
     static std::pair<double, double> bucketRange(unsigned i);
+
+  private:
+    /** Count `value` in `bucket` and fold it into the moments. */
+    void add(double value, unsigned bucket);
 };
 
 /**

@@ -6,6 +6,11 @@
  * workload partitioning.
  */
 
+#include <algorithm>
+#include <list>
+#include <random>
+#include <unordered_map>
+
 #include <gtest/gtest.h>
 
 #include "common/log.hpp"
@@ -310,6 +315,116 @@ TEST(SharedL2, WriteThroughAllocates)
     // Subsequent read of written lines hits.
     l2.issueRead(0, 256, 10);
     EXPECT_EQ(l2.l2Stats().hits, 1u); // 256 words = 1 line (default)
+}
+
+namespace
+{
+
+/** The list + hash-map LRU the flat slot arrays replaced. */
+class ReferenceLru
+{
+  public:
+    explicit ReferenceLru(std::uint64_t capacity) : capacity_(capacity) {}
+
+    bool
+    lookup(std::uint64_t line)
+    {
+        auto it = index_.find(line);
+        if (it != index_.end()) {
+            lru_.splice(lru_.begin(), lru_, it->second);
+            return true;
+        }
+        lru_.push_front(line);
+        index_[line] = lru_.begin();
+        if (lru_.size() > capacity_) {
+            index_.erase(lru_.back());
+            lru_.pop_back();
+        }
+        return false;
+    }
+
+    void
+    clear()
+    {
+        lru_.clear();
+        index_.clear();
+    }
+
+  private:
+    std::uint64_t capacity_;
+    std::list<std::uint64_t> lru_;
+    std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
+        index_;
+};
+
+} // namespace
+
+TEST(SharedL2, FlatLruMatchesListLru)
+{
+    // Seeded random read/write streams of 1-4 line requests over a pool
+    // of about twice the capacity, invalidated halfway: every request
+    // must hit exactly the lines the reference LRU hits, and the stats
+    // and refill traffic must agree at the end.
+    constexpr std::uint32_t line_words = 8;
+    for (const std::uint64_t capacity : {1u, 2u, 3u, 16384u}) {
+        systolic::BandwidthMemory dram(1e9);
+        SharedL2Config cfg;
+        cfg.capacityWords = capacity * line_words;
+        cfg.lineWords = line_words;
+        SharedL2 l2(cfg, dram);
+        ReferenceLru ref(capacity);
+        SharedL2Stats want;
+        std::mt19937_64 rng(capacity);
+        const std::uint64_t pool = 2 * capacity + 3;
+        constexpr int kRequests = 100000;
+        for (int r = 0; r < kRequests; ++r) {
+            if (r == kRequests / 2) {
+                l2.invalidate();
+                ref.clear();
+            }
+            const Addr addr = (rng() % pool) * line_words
+                + rng() % line_words;
+            const Count words = 1 + rng() % (3 * line_words);
+            const std::uint64_t first = addr / line_words;
+            const std::uint64_t last = (addr + words - 1) / line_words;
+            if (rng() % 4 == 0) {
+                for (std::uint64_t line = first; line <= last; ++line)
+                    ref.lookup(line);
+                want.writeWords += words;
+                l2.issueWrite(addr, words, 0);
+                continue;
+            }
+            Count hits = 0;
+            for (std::uint64_t line = first; line <= last; ++line) {
+                ++want.lookups;
+                const std::uint64_t lo = line * line_words;
+                const std::uint64_t overlap =
+                    std::min<std::uint64_t>(addr + words, lo + line_words)
+                    - std::max<std::uint64_t>(addr, lo);
+                if (ref.lookup(line)) {
+                    ++hits;
+                    want.hitWords += overlap;
+                } else {
+                    want.missWords += overlap;
+                }
+            }
+            want.hits += hits;
+            const Count hits_before = l2.l2Stats().hits;
+            l2.issueRead(addr, words, 0);
+            ASSERT_EQ(l2.l2Stats().hits - hits_before, hits)
+                << "capacity " << capacity << " request " << r;
+        }
+        const SharedL2Stats& got = l2.l2Stats();
+        EXPECT_EQ(got.lookups, want.lookups) << capacity;
+        EXPECT_EQ(got.hits, want.hits) << capacity;
+        EXPECT_EQ(got.hitWords, want.hitWords) << capacity;
+        EXPECT_EQ(got.missWords, want.missWords) << capacity;
+        EXPECT_EQ(got.writeWords, want.writeWords) << capacity;
+        EXPECT_EQ(dram.stats().readWords,
+                  (want.lookups - want.hits) * line_words)
+            << capacity;
+        EXPECT_GT(want.hits, 0u) << capacity;
+    }
 }
 
 TEST(TraceSim, SharedL2DeduplicatesPartitions)

@@ -13,8 +13,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "common/workloads.hpp"
 #include "core/dse.hpp"
@@ -77,6 +79,39 @@ TEST(Histogram, BucketZeroCoversSubUnitSamples)
     EXPECT_EQ(h.buckets[0], 3u);
     h.sample(1.0);
     EXPECT_EQ(h.buckets[1], 1u);
+}
+
+TEST(Histogram, IntegerSamplesMatchDoubleSamples)
+{
+    // The integer overload finds the bucket with a bit scan instead of
+    // log2: every small value, and both sides of every power of two up
+    // to 2^63, must land exactly where sample(double(n)) puts it, with
+    // the same moments.
+    std::vector<std::uint64_t> values;
+    for (std::uint64_t n = 0; n <= (1u << 16); ++n)
+        values.push_back(n);
+    for (unsigned k = 1; k <= 63; ++k) {
+        const std::uint64_t p = std::uint64_t{1} << k;
+        values.insert(values.end(), {p - 1, p, p + 1});
+    }
+    obs::Histogram by_int, by_double;
+    for (const std::uint64_t n : values) {
+        by_int.sample(n);
+        by_double.sample(static_cast<double>(n));
+        if (!std::equal(std::begin(by_int.buckets),
+                        std::end(by_int.buckets),
+                        std::begin(by_double.buckets))) {
+            ADD_FAILURE() << "bucket differs at " << n;
+            break;
+        }
+    }
+    EXPECT_EQ(by_int.count, by_double.count);
+    EXPECT_EQ(by_int.sum, by_double.sum);
+    EXPECT_EQ(by_int.sumSq, by_double.sumSq);
+    EXPECT_EQ(by_int.minSample, by_double.minSample);
+    EXPECT_EQ(by_int.maxSample, by_double.maxSample);
+    EXPECT_EQ(by_int.buckets[0], 1u); // only 0 is below 1
+    EXPECT_EQ(by_int.buckets[1], 2u); // 1 twice: the sweep and 2^1 - 1
 }
 
 TEST(Histogram, QuantilesInterpolateWithinBuckets)
